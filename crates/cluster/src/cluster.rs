@@ -1,5 +1,7 @@
 //! Nodes, pods and their lifecycle.
 
+use std::collections::BTreeMap;
+
 use crate::spec::{FuncId, ResourceSpec};
 use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{ArenaKey, IdArena, SimTime};
@@ -139,12 +141,71 @@ impl std::error::Error for ClusterError {}
 /// pod ids are handed out sequentially and never reused), so per-request
 /// node/pod lookups are O(1) array accesses and iteration order stays the
 /// ascending-id order the former `BTreeMap`s provided.
+///
+/// Membership queries ([`Self::pods_on`], [`Self::pods_of`],
+/// [`Self::running_pods_of`], [`Self::reconcile`], [`Self::crash_node`])
+/// read a derived index of pod ids per node and per function, kept in
+/// ascending [`PodId`] order, so they cost the size of the answer rather
+/// than a scan of every pod. The index is not serialized: `unsnap`
+/// rebuilds it from the pod table, so snapshot bytes carry only the
+/// tables themselves.
 #[derive(Debug, Default)]
 pub struct Cluster {
     nodes: IdArena<NodeId, Node>,
     pods: IdArena<PodId, Pod>,
     next_node: u32,
     next_pod: u64,
+    members: Membership,
+}
+
+/// Pod ids per node and per function, each list in ascending id order —
+/// derived from the pod table, never serialized.
+#[derive(Debug, Default)]
+struct Membership {
+    /// One entry per node (nodes are never removed).
+    by_node: IdArena<NodeId, Vec<PodId>>,
+    /// Only functions with at least one pod have an entry. Keyed
+    /// sparsely so a function id alone never sizes an allocation.
+    by_func: BTreeMap<FuncId, Vec<PodId>>,
+}
+
+impl Membership {
+    /// Records `pod`. Ids arrive in ascending order (fresh pods take the
+    /// next id; a rebuild walks the pod table in order), so a push keeps
+    /// each list sorted. Returns `false` if the pod's node is unknown.
+    fn insert(&mut self, pod: &Pod) -> bool {
+        let Some(on_node) = self.by_node.get_mut(pod.node) else {
+            return false;
+        };
+        on_node.push(pod.id);
+        self.by_func.entry(pod.func).or_default().push(pod.id);
+        true
+    }
+
+    /// Forgets `pod` from its function's list; an emptied list is
+    /// dropped so the index holds exactly the live functions.
+    fn remove_from_func(&mut self, pod: &Pod) {
+        if let Some(ids) = self.by_func.get_mut(&pod.func) {
+            remove_sorted(ids, pod.id);
+            if ids.is_empty() {
+                self.by_func.remove(&pod.func);
+            }
+        }
+    }
+
+    /// Forgets `pod` from both lists.
+    fn remove(&mut self, pod: &Pod) {
+        if let Some(ids) = self.by_node.get_mut(pod.node) {
+            remove_sorted(ids, pod.id);
+        }
+        self.remove_from_func(pod);
+    }
+}
+
+fn remove_sorted(ids: &mut Vec<PodId>, id: PodId) {
+    if let Ok(i) = ids.binary_search(&id) {
+        ids.remove(i);
+    }
 }
 
 impl Cluster {
@@ -168,6 +229,7 @@ impl Cluster {
                 state: NodeState::Up,
             },
         );
+        self.members.by_node.insert(id, Vec::new());
         id
     }
 
@@ -179,6 +241,11 @@ impl Cluster {
     /// Node ids, in order.
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.nodes.keys().collect()
+    }
+
+    /// Nodes, in id order.
+    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
+        self.nodes.values()
     }
 
     /// Immutable node access.
@@ -237,19 +304,19 @@ impl Cluster {
         };
         let id = PodId(self.next_pod);
         self.next_pod += 1;
-        self.pods.insert(
+        let pod = Pod {
             id,
-            Pod {
-                id,
-                func,
-                node,
-                client,
-                resources,
-                memory,
-                state: PodState::Running,
-                created_at: now,
-            },
-        );
+            func,
+            node,
+            client,
+            resources,
+            memory,
+            state: PodState::Running,
+            created_at: now,
+        };
+        let indexed = self.members.insert(&pod);
+        debug_assert!(indexed, "node checked above");
+        self.pods.insert(id, pod);
         Ok(id)
     }
 
@@ -264,6 +331,7 @@ impl Cluster {
     /// caller must ensure no kernels are in flight.
     pub fn delete_pod(&mut self, pod: PodId) -> Result<Pod, ClusterError> {
         let p = self.pods.remove(pod).ok_or(ClusterError::UnknownPod(pod))?;
+        self.members.remove(&p);
         let n = self
             .nodes
             .get_mut(p.node)
@@ -296,16 +364,20 @@ impl Cluster {
         }
         n.state = NodeState::Down;
         n.gpu.hard_reset(now);
-        let victims: Vec<PodId> = self
-            .pods
-            .values()
-            .filter(|p| p.node == node)
-            .map(|p| p.id)
-            .collect();
-        Ok(victims
-            .into_iter()
-            .filter_map(|id| self.pods.remove(id))
-            .collect())
+        let victims = self
+            .members
+            .by_node
+            .get_mut(node)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        let mut lost = Vec::with_capacity(victims.len());
+        for id in victims {
+            if let Some(p) = self.pods.remove(id) {
+                self.members.remove_from_func(&p);
+                lost.push(p);
+            }
+        }
+        Ok(lost)
     }
 
     /// Degrades a node: its GPU clock slows by `factor` (≥ 1; 2.0 means
@@ -358,36 +430,48 @@ impl Cluster {
         self.pods.get(id).ok_or(ClusterError::UnknownPod(id))
     }
 
-    /// Mutable pod access.
-    pub fn pod_mut(&mut self, id: PodId) -> Result<&mut Pod, ClusterError> {
-        self.pods.get_mut(id).ok_or(ClusterError::UnknownPod(id))
+    /// Replaces a pod's resource annotations. A pod's node and function
+    /// are fixed at creation: they key the membership index.
+    pub fn set_pod_resources(
+        &mut self,
+        id: PodId,
+        resources: ResourceSpec,
+    ) -> Result<(), ClusterError> {
+        let p = self.pods.get_mut(id).ok_or(ClusterError::UnknownPod(id))?;
+        p.resources = resources;
+        Ok(())
     }
 
     /// All pods of a function, in id order.
-    pub fn pods_of(&self, func: FuncId) -> Vec<PodId> {
-        self.pods
-            .values()
-            .filter(|p| p.func == func)
-            .map(|p| p.id)
-            .collect()
+    pub fn pods_of(&self, func: FuncId) -> &[PodId] {
+        self.members.by_func.get(&func).map_or(&[], Vec::as_slice)
     }
 
-    /// Running (non-terminating) pods of a function.
-    pub fn running_pods_of(&self, func: FuncId) -> Vec<PodId> {
-        self.pods
-            .values()
-            .filter(|p| p.func == func && p.state == PodState::Running)
-            .map(|p| p.id)
-            .collect()
+    /// Running (non-terminating) pods of a function, in id order.
+    pub fn running_pods_of(&self, func: FuncId) -> impl Iterator<Item = PodId> + '_ {
+        self.running_of(func).map(|p| p.id)
     }
 
-    /// All pods on a node.
-    pub fn pods_on(&self, node: NodeId) -> Vec<PodId> {
-        self.pods
-            .values()
-            .filter(|p| p.node == node)
-            .map(|p| p.id)
-            .collect()
+    /// Number of running (non-terminating) pods of a function.
+    pub fn running_count(&self, func: FuncId) -> usize {
+        self.running_of(func).count()
+    }
+
+    fn running_of(&self, func: FuncId) -> impl Iterator<Item = &Pod> + '_ {
+        self.pods_of(func)
+            .iter()
+            .filter_map(|&id| self.pods.get(id))
+            .filter(|p| p.state == PodState::Running)
+    }
+
+    /// All pods on a node, in id order.
+    pub fn pods_on(&self, node: NodeId) -> &[PodId] {
+        self.members.by_node.get(node).map_or(&[], Vec::as_slice)
+    }
+
+    /// Functions with at least one pod, in id order.
+    pub fn funcs_with_pods(&self) -> impl Iterator<Item = FuncId> + '_ {
+        self.members.by_func.keys().copied()
     }
 
     /// Total pods.
@@ -400,11 +484,7 @@ impl Cluster {
     /// or which running pods to drain (chosen newest-first so the
     /// longest-lived, warmed instances survive).
     pub fn reconcile(&self, func: FuncId, desired: usize) -> ReconcileAction {
-        let mut running: Vec<&Pod> = self
-            .pods
-            .values()
-            .filter(|p| p.func == func && p.state == PodState::Running)
-            .collect();
+        let mut running: Vec<&Pod> = self.running_of(func).collect();
         if running.len() < desired {
             ReconcileAction::Create(desired - running.len())
         } else if running.len() > desired {
@@ -540,6 +620,7 @@ impl Snap for Cluster {
             pods,
             next_node,
             next_pod,
+            members: _,
         } = self;
         nodes.snap(w);
         pods.snap(w);
@@ -554,11 +635,26 @@ impl Snap for Cluster {
         if nodes.keys().any(|n| n.0 >= next_node) || pods.keys().any(|p| p.0 >= next_pod) {
             return Err(SnapError::new("cluster id space"));
         }
+        // Rebuild the membership index. Lists are sized only by pushes of
+        // pods actually present, never from an id read off the wire.
+        let mut members = Membership::default();
+        for id in nodes.keys() {
+            members.by_node.insert(id, Vec::new());
+        }
+        for (id, pod) in pods.iter() {
+            if pod.id != id {
+                return Err(SnapError::new("cluster pod id"));
+            }
+            if !members.insert(pod) {
+                return Err(SnapError::new("cluster pod on unknown node"));
+            }
+        }
         Ok(Cluster {
             nodes,
             pods,
             next_node,
             next_pod,
+            members,
         })
     }
 }
@@ -621,7 +717,8 @@ mod tests {
         let _x = c.create_pod(SimTime::ZERO, n, FuncId(1), spec(), 0).unwrap();
         assert_eq!(c.pods_of(FuncId(0)), vec![a, b]);
         c.begin_terminate(b).unwrap();
-        assert_eq!(c.running_pods_of(FuncId(0)), vec![a]);
+        assert_eq!(c.running_pods_of(FuncId(0)).collect::<Vec<_>>(), vec![a]);
+        assert_eq!(c.running_count(FuncId(0)), 1);
         assert_eq!(c.pods_on(n).len(), 3);
     }
 
@@ -703,6 +800,60 @@ mod tests {
         c.crash_node(SimTime::ZERO, n).unwrap();
         assert!(matches!(c.degrade_node(n, 2.0), Err(ClusterError::NodeDown(_))));
         assert!(matches!(c.recover_node(n), Err(ClusterError::NodeDown(_))));
+    }
+
+    fn round_trip(c: &Cluster) -> Result<Cluster, SnapError> {
+        let mut w = SnapWriter::new();
+        c.snap(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        let back = Cluster::unsnap(&mut r)?;
+        r.expect_done()?;
+        Ok(back)
+    }
+
+    #[test]
+    fn unsnap_rebuilds_membership_index() {
+        let mut c = Cluster::new();
+        let ids = c.add_nodes(2, GpuSpec::v100(), MpsMode::Shared);
+        let a = c.create_pod(SimTime::ZERO, ids[1], FuncId(3), spec(), 0).unwrap();
+        let b = c.create_pod(SimTime::ZERO, ids[0], FuncId(3), spec(), 0).unwrap();
+        c.begin_terminate(a).unwrap();
+        let back = round_trip(&c).unwrap();
+        assert_eq!(back.pods_on(ids[0]), [b]);
+        assert_eq!(back.pods_on(ids[1]), [a]);
+        assert_eq!(back.pods_of(FuncId(3)), [a, b]);
+        assert_eq!(back.running_pods_of(FuncId(3)).collect::<Vec<_>>(), vec![b]);
+        assert_eq!(back.funcs_with_pods().collect::<Vec<_>>(), vec![FuncId(3)]);
+    }
+
+    /// A snapshot whose pod names a node the cluster does not hold — the
+    /// largest id included, which must not size any allocation — is a
+    /// typed decode error.
+    #[test]
+    fn unsnap_rejects_pod_on_unknown_node() {
+        for bad in [NodeId(1), NodeId(u32::MAX)] {
+            let (mut c, n) = cluster_with_node();
+            let pod = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0).unwrap();
+            if let Some(p) = c.pods.get_mut(pod) {
+                p.node = bad;
+            }
+            assert_eq!(
+                round_trip(&c).err(),
+                Some(SnapError::new("cluster pod on unknown node"))
+            );
+        }
+    }
+
+    /// A pod whose recorded id disagrees with its slot is rejected.
+    #[test]
+    fn unsnap_rejects_mismatched_pod_id() {
+        let (mut c, n) = cluster_with_node();
+        let pod = c.create_pod(SimTime::ZERO, n, FuncId(0), spec(), 0).unwrap();
+        if let Some(p) = c.pods.get_mut(pod) {
+            p.id = PodId(7);
+        }
+        assert_eq!(round_trip(&c).err(), Some(SnapError::new("cluster pod id")));
     }
 
     #[test]

@@ -1,9 +1,80 @@
 //! Property tests for the cluster substrate.
 
-use fastg_cluster::{Cluster, FuncId, Gateway, PodId, ResourceSpec};
+use fastg_cluster::cluster::ReconcileAction;
+use fastg_cluster::{Cluster, FuncId, Gateway, Pod, PodId, PodState, ResourceSpec};
+use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 use fastg_des::SimTime;
 use fastg_gpu::{GpuSpec, MpsMode};
 use proptest::prelude::*;
+
+const INDEX_NODES: usize = 5;
+const INDEX_FUNCS: u32 = 4;
+
+/// The oracle: every live pod, found by probing every id ever handed out.
+fn scan<'a>(c: &'a Cluster, created: &[PodId]) -> Vec<&'a Pod> {
+    created.iter().filter_map(|&id| c.pod(id).ok()).collect()
+}
+
+/// Reconcile by brute force over all live pods: drain newest first.
+fn reconcile_by_scan(live: &[&Pod], func: FuncId, desired: usize) -> ReconcileAction {
+    let mut running: Vec<&Pod> = live
+        .iter()
+        .copied()
+        .filter(|p| p.func == func && p.state == PodState::Running)
+        .collect();
+    if running.len() < desired {
+        return ReconcileAction::Create(desired - running.len());
+    }
+    if running.len() == desired {
+        return ReconcileAction::Steady;
+    }
+    running.sort_by_key(|p| std::cmp::Reverse((p.created_at, p.id)));
+    ReconcileAction::Drain(
+        running[..running.len() - desired]
+            .iter()
+            .map(|p| p.id)
+            .collect(),
+    )
+}
+
+/// Every membership query agrees with a scan over all pods.
+fn assert_index_matches_scan(c: &Cluster, created: &[PodId]) {
+    let live = scan(c, created);
+    assert_eq!(c.pod_count(), live.len());
+    for node in c.node_ids() {
+        let want: Vec<PodId> = live
+            .iter()
+            .filter(|p| p.node == node)
+            .map(|p| p.id)
+            .collect();
+        assert_eq!(c.pods_on(node), want.as_slice(), "pods_on({node:?})");
+    }
+    for f in (0..INDEX_FUNCS).map(FuncId) {
+        let of: Vec<PodId> = live.iter().filter(|p| p.func == f).map(|p| p.id).collect();
+        assert_eq!(c.pods_of(f), of.as_slice(), "pods_of({f:?})");
+        let running: Vec<PodId> = live
+            .iter()
+            .filter(|p| p.func == f && p.state == PodState::Running)
+            .map(|p| p.id)
+            .collect();
+        assert_eq!(
+            c.running_pods_of(f).collect::<Vec<_>>(),
+            running,
+            "running_pods_of({f:?})"
+        );
+        assert_eq!(c.running_count(f), running.len());
+        for desired in 0..=running.len() + 1 {
+            assert_eq!(
+                c.reconcile(f, desired),
+                reconcile_by_scan(&live, f, desired)
+            );
+        }
+    }
+    let mut funcs: Vec<FuncId> = live.iter().map(|p| p.func).collect();
+    funcs.sort();
+    funcs.dedup();
+    assert_eq!(c.funcs_with_pods().collect::<Vec<_>>(), funcs);
+}
 
 proptest! {
     /// Pod create/delete interleavings conserve GPU memory and MPS client
@@ -120,10 +191,68 @@ proptest! {
                 for p in pods {
                     c.begin_terminate(p).unwrap();
                 }
-                prop_assert_eq!(c.running_pods_of(FuncId(0)).len(), desired);
+                prop_assert_eq!(c.running_count(FuncId(0)), desired);
             }
             ReconcileAction::Steady => prop_assert_eq!(initial, desired),
         }
+    }
+
+    /// The membership index agrees with a brute-force scan after every
+    /// step of a random create / terminate / delete / crash sequence, and
+    /// again after a snapshot round trip rebuilds it from the pod table.
+    #[test]
+    fn membership_index_matches_scan(
+        ops in prop::collection::vec((0u8..8, 0u8..32, 0u8..32), 1..80)
+    ) {
+        let mut c = Cluster::new();
+        c.add_nodes(INDEX_NODES, GpuSpec::v100(), MpsMode::Shared);
+        let spec = ResourceSpec::new(5.0, 0.1, 0.1, 0);
+        let mut created: Vec<PodId> = Vec::new();
+        for (step, &(op, a, b)) in ops.iter().enumerate() {
+            // Two steps share each instant, so reconcile sees ties on
+            // creation time that only the pod id breaks.
+            let now = SimTime::from_micros(step as u64 / 2);
+            let live: Vec<PodId> = scan(&c, &created).iter().map(|p| p.id).collect();
+            let pick = |k: u8| live.get(usize::from(k) % live.len().max(1)).copied();
+            match op {
+                0..=3 => {
+                    let node = c.node_ids()[usize::from(a) % INDEX_NODES];
+                    let func = FuncId(u32::from(b) % INDEX_FUNCS);
+                    if let Ok(p) = c.create_pod(now, node, func, spec, 0) {
+                        created.push(p);
+                    }
+                }
+                4 | 5 => {
+                    if let Some(p) = pick(a) {
+                        c.begin_terminate(p).unwrap();
+                    }
+                }
+                6 => {
+                    if let Some(p) = pick(a) {
+                        c.delete_pod(p).unwrap();
+                    }
+                }
+                _ => {
+                    let node = c.node_ids()[usize::from(a) % INDEX_NODES];
+                    let lost = c.crash_node(now, node).unwrap();
+                    let ids: Vec<PodId> = lost.iter().map(|p| p.id).collect();
+                    let mut sorted = ids.clone();
+                    sorted.sort();
+                    prop_assert_eq!(ids, sorted, "crash victims come back in id order");
+                }
+            }
+            assert_index_matches_scan(&c, &created);
+        }
+        let mut w = SnapWriter::new();
+        c.snap(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes);
+        let back = Cluster::unsnap(&mut r).unwrap();
+        r.expect_done().unwrap();
+        assert_index_matches_scan(&back, &created);
+        let mut again = SnapWriter::new();
+        back.snap(&mut again);
+        prop_assert_eq!(again.finish(), bytes, "the index never reaches the bytes");
     }
 
     /// ResourceSpec areas multiply correctly and stay in [0, 1].

@@ -440,32 +440,29 @@ impl Engine {
         // Memory feasibility per node: the pod's private reservation plus,
         // if this node's store does not yet hold the model, the shared
         // weights + storage context.
-        let mut extra_per_node: Vec<u64> = vec![0; self.node_events.len()];
-        for n in self.cluster.node_ids() {
-            if sharing && self.stores[n].model_bytes(&model_name) == 0 {
-                extra_per_node[n.index()] =
-                    footprint::server_reservation(mem, DEFAULT_CTX_OVERHEAD);
-            }
-        }
+        let server_bytes = footprint::server_reservation(mem, DEFAULT_CTX_OVERHEAD);
         let cluster_ref = &self.cluster;
+        let stores = &self.stores;
         let mut mem_fits = |n: NodeId| {
-            cluster_ref
-                .node(n)
-                .map(|node| {
-                    node.gpu.memory().free_bytes()
-                        >= pod_bytes + extra_per_node.get(n.index()).copied().unwrap_or(0)
-                })
-                .unwrap_or(false)
+            let Ok(node) = cluster_ref.node(n) else {
+                return false;
+            };
+            let needs_server = sharing
+                && stores
+                    .get(n)
+                    .is_some_and(|s| s.model_bytes(&model_name) == 0);
+            let extra = if needs_server { server_bytes } else { 0 };
+            node.gpu.memory().free_bytes() >= pod_bytes + extra
         };
 
         // Node selection: Algorithm 2 best fit, or least-loaded when
         // over-subscription is allowed.
         let node = if self.cfg.oversubscribe {
-            self.cluster
-                .node_ids()
-                .into_iter()
+            cluster_ref
+                .nodes()
+                .map(|n| n.id)
                 .filter(|&n| mem_fits(n))
-                .min_by_key(|&n| (self.cluster.pods_on(n).len(), n))
+                .min_by_key(|&n| (cluster_ref.pods_on(n).len(), n))
         } else {
             self.selector.select_node(&resources, &mut mem_fits)
         };
@@ -650,8 +647,9 @@ impl Engine {
         // Repartitioning changes contention: every fast-forwarded burst
         // on an affected node (this function's or a neighbour's) falls
         // back to per-kernel stepping before MPS caps move.
+        let running: Vec<PodId> = self.cluster.running_pods_of(func).collect();
         let mut touched: Vec<NodeId> = Vec::new();
-        for pod in self.cluster.running_pods_of(func) {
+        for &pod in &running {
             let node = self.pods[pod].node;
             if !touched.contains(&node) {
                 touched.push(node);
@@ -660,14 +658,16 @@ impl Engine {
         for node in touched {
             self.ff_break_node(now, node, queue);
         }
-        for pod in self.cluster.running_pods_of(func) {
+        for pod in running {
             let node = self.pods[pod].node;
             let (client, old) = self.cluster.pod(pod).map(|p| (p.client, p.resources))?;
             // MPS partition: applies from the pod's next kernel launch.
             let gpu = &mut self.cluster.node_mut(node)?.gpu;
             gpu.set_partition(client, eff_sm)?;
-            self.cluster.pod_mut(pod)?.resources =
-                ResourceSpec::new(eff_sm, resources.quota_request, resources.quota_limit, resources.gpu_mem);
+            self.cluster.set_pod_resources(
+                pod,
+                ResourceSpec::new(eff_sm, resources.quota_request, resources.quota_limit, resources.gpu_mem),
+            )?;
             // Backend table row (quotas take effect within this window).
             self.backends
                 .get_mut(node)
@@ -788,7 +788,7 @@ impl Engine {
         if !self.cfg.recovery {
             return;
         }
-        let running = self.cluster.running_pods_of(func).len();
+        let running = self.cluster.running_count(func);
         if let Some(rt) = self.funcs.get_mut(func) {
             if running < rt.desired_replicas && rt.outage_since.is_none() {
                 rt.outage_since = Some(now);
@@ -898,7 +898,8 @@ impl Engine {
                     return;
                 }
                 let func = ids[func_index % ids.len()];
-                if let Some(&victim) = self.cluster.running_pods_of(func).first() {
+                let victim = self.cluster.running_pods_of(func).next();
+                if let Some(victim) = victim {
                     self.kill_pod(now, victim, queue);
                 }
             }
@@ -954,7 +955,7 @@ impl Engine {
         let desired = rt.desired_replicas;
         let resources = rt.resources;
         let backoff_until = rt.backoff_until;
-        let running = self.cluster.running_pods_of(func).len();
+        let running = self.cluster.running_count(func);
         if running >= desired {
             let Some(rt) = self.funcs.get_mut(func) else {
                 return;
@@ -1553,8 +1554,8 @@ impl Engine {
         if self.cluster.pods_on(node).len() != 1 {
             return None;
         }
-        let running = self.cluster.running_pods_of(func);
-        if running.as_slice() != [pod] {
+        let mut running = self.cluster.running_pods_of(func);
+        if running.next() != Some(pod) || running.next().is_some() {
             return None;
         }
         if self.gateway.queue_len(func) != 0 {
@@ -2055,15 +2056,9 @@ impl Engine {
                 n.gpu.metrics_mut().sample(now);
             }
         }
-        let counts: Vec<(FuncId, usize)> = self
-            .funcs
-            .keys()
-            .map(|f| (f, self.cluster.running_pods_of(f).len()))
-            .collect();
-        for (f, n) in counts {
-            if let Some(rt) = self.funcs.get_mut(f) {
-                rt.replica_series.push(now, n as f64);
-            }
+        for (f, rt) in self.funcs.iter_mut() {
+            let n = self.cluster.running_count(f);
+            rt.replica_series.push(now, n as f64);
         }
         queue.schedule(now + self.cfg.sample_interval, Event::MetricsSample);
     }
@@ -2101,7 +2096,6 @@ impl Engine {
         let running: Vec<RunningPod> = self
             .cluster
             .running_pods_of(func)
-            .into_iter()
             .filter_map(|p| {
                 let pod = self.cluster.pod(p).ok()?;
                 let sm = pod.resources.sm_partition;
@@ -2200,7 +2194,7 @@ impl Engine {
                     slo: rt.slo.slo(),
                     slo_violations: rt.slo.violations(),
                     violation_ratio: rt.slo.violation_ratio(),
-                    replicas: self.cluster.running_pods_of(id).len(),
+                    replicas: self.cluster.running_count(id),
                     replica_series: rt.replica_series.clone(),
                     dropped: self.gateway.dropped(id),
                     rejected: self.gateway.rejected(id),
@@ -2570,7 +2564,7 @@ impl Platform {
 
     /// Running pod ids of a function (targets for [`Self::kill_pod`]).
     pub fn pods_of(&self, func: FuncId) -> Vec<fastg_cluster::PodId> {
-        self.sim.world().cluster.running_pods_of(func)
+        self.sim.world().cluster.running_pods_of(func).collect()
     }
 
     /// Pods crashed via failure injection so far.
@@ -2696,7 +2690,7 @@ impl Platform {
 
     /// Running replica count of a function.
     pub fn replicas(&self, func: FuncId) -> usize {
-        self.sim.world().cluster.running_pods_of(func).len()
+        self.sim.world().cluster.running_count(func)
     }
 
     /// Number of GPUs with at least one pod bound.
@@ -3221,6 +3215,9 @@ impl Engine {
         let ff_cluster_cycles = r.u64()?;
         let ff_cluster_events_coalesced = r.u64()?;
         let trace = Vec::unsnap(r)?;
+        if cluster.funcs_with_pods().any(|f| !funcs.contains(f)) {
+            return Err(SnapError::new("cluster pod of unknown function"));
+        }
         let nodes = cluster.node_ids().len();
         if node_phase.len() != nodes || node_events.len() != nodes {
             return Err(SnapError::new("engine node tables"));
@@ -3509,6 +3506,27 @@ mod tests {
         p.scale_to(f, 1);
         p.run_for(SimTime::from_secs(2));
         assert_eq!(p.replicas(f), 1);
+    }
+
+    /// A snapshot whose cluster holds a pod of a function the engine's
+    /// function table does not know — the largest id included, which must
+    /// not size any allocation — is a typed decode error.
+    #[test]
+    fn restore_rejects_pod_of_unknown_function() {
+        for bad in [FuncId(1), FuncId(u32::MAX)] {
+            let (mut p, _) = resnet_platform(SharingPolicy::FaST);
+            let world = p.sim.world_mut();
+            let node = world.cluster.node_ids()[0];
+            let spec = ResourceSpec::new(10.0, 0.1, 0.1, 0);
+            world
+                .cluster
+                .create_pod(SimTime::ZERO, node, bad, spec, 0)
+                .unwrap();
+            assert_eq!(
+                Platform::from_snapshot(&p.checkpoint()).err(),
+                Some(SnapError::new("cluster pod of unknown function"))
+            );
+        }
     }
 
     #[test]

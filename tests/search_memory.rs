@@ -4,10 +4,13 @@
 //! the compact snapshot bytes resident.
 //!
 //! Measured with a counting global allocator local to this test binary,
-//! so the numbers are exact byte accounting, not RSS sampling noise.
+//! so the numbers are exact byte accounting, not RSS sampling noise. The
+//! counter is process-global, so the tests take turns: each holds
+//! [`SERIAL`] for its whole body, or one would count the other's bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use fastg_des::SimTime;
 use fastgshare::profiler::{ConfigServer, Experiment, SamplePlan};
@@ -46,6 +49,17 @@ fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
+/// Serializes the tests in this binary around the shared [`LIVE`] count.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the [`SERIAL`] lock. A test that failed while holding it
+/// poisons it; the data is `()`, so the next test proceeds regardless.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn experiment() -> Experiment {
     Experiment::new(
         "resnet50",
@@ -61,6 +75,7 @@ fn experiment() -> Experiment {
 /// bytes, not the simulation.
 #[test]
 fn eliminated_trial_arenas_are_dropped() {
+    let _serial = serial();
     let e = experiment();
     let before = live_bytes();
 
@@ -98,6 +113,7 @@ fn eliminated_trial_arenas_are_dropped() {
 /// rounds: after dropping everything, live bytes return to the baseline.
 #[test]
 fn suspend_resume_cycle_is_leak_free() {
+    let _serial = serial();
     let e = experiment();
     // Warm any lazy one-time allocations (zoo profiles, thread-locals)
     // so the steady-state measurement is clean.
