@@ -40,7 +40,11 @@ pub const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"FGSN");
 
 /// Current snapshot format version. Bumped whenever any `snap`/`unsnap`
 /// encoding changes shape; old snapshots are rejected, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 1;
+///
+/// v2: a steady node's phase carries its template cycle profile and the
+/// offset already sampled, an armed node's profile recording follows the
+/// phase table, and the `Resuming` phase is gone.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Length of the `magic ‖ version` header preceding the payload.
 const HEADER_LEN: usize = 8;

@@ -27,6 +27,7 @@ use fastg_des::{
     sanitizer, ArenaKey, CancelToken, EventQueue, IdArena, IdSet, SimTime, Simulation, TimeSeries,
     World,
 };
+use fastg_gpu::metrics::{CycleProfile, ProfilePoint};
 use fastg_gpu::{ClientId, KernelDesc, KernelId, MpsMode};
 use fastg_models::{zoo, InferenceRun, ModelProfile, StageOp};
 use fastg_workload::{ArrivalProcess, RateMeter, SloTracker};
@@ -166,7 +167,8 @@ struct ActiveReq {
 
 /// Snapshot taken at a qualifying completion `C0`: one full request cycle
 /// is then measured against the next completion `C1 = C0 + gap` before the
-/// node enters the steady regime.
+/// node enters the steady regime. Meanwhile the node's GPU metrics record
+/// every busy/occupancy boundary: the template cycle's profile.
 struct ArmedCycle {
     pod: PodId,
     /// Arrival time of the request completing at `C0`.
@@ -208,11 +210,16 @@ struct SteadyCycle {
     d_tokens: u64,
     /// Events one real cycle delivers (coalescing-ratio accounting).
     cycle_events: u64,
+    /// The template cycle's GPU busy/occupancy profile; its totals equal
+    /// `d_busy`/`d_occ_raw`. Nodes with identical profiles share one.
+    profile: Arc<CycleProfile>,
+    /// How far into the cycle at `next_arrival` a closed-form metrics
+    /// sample already counted busy time and occupancy (zero when none
+    /// landed mid-cycle); the next credit adds only the rest.
+    sampled: SimTime,
 }
 
-/// Cluster fast-forward node-state lattice: `Inactive → Armed → Steady`,
-/// with `Resuming` bridging a materialized catch-up request back into
-/// `Steady` without re-measuring (nothing about the timeline changed).
+/// Cluster fast-forward node-state lattice: `Inactive → Armed → Steady`.
 enum NodePhase {
     /// Node schedules real events; no cycle measurement in progress.
     Inactive,
@@ -220,9 +227,6 @@ enum NodePhase {
     Armed(ArmedCycle),
     /// No per-request events scheduled: cycles credit analytically.
     Steady(SteadyCycle),
-    /// One real request (materialized by an exit) is in flight; its
-    /// completion at `expect + latency` re-enters `Steady` directly.
-    Resuming { cycle: SteadyCycle, expect: SimTime },
 }
 
 struct PodRt {
@@ -284,6 +288,9 @@ pub struct Engine {
     ff_cluster_cycles: u64,
     /// Events those cycles would have delivered (never scheduled).
     ff_cluster_events_coalesced: u64,
+    /// Interned steady-cycle profiles (derived state, rebuilt on
+    /// restore): one copy per distinct template, whatever the node count.
+    cycle_profiles: Vec<Arc<CycleProfile>>,
     /// Per-event `{time} {event}` lines when `cfg.trace_events` is set
     /// (the race detector's delta-debugging input); empty otherwise.
     trace: Vec<String>,
@@ -305,6 +312,25 @@ fn make_selector(cfg: &PlatformConfig) -> Box<dyn Scheduler> {
         };
         Box::new(NodeSelector::new(placement))
     }
+}
+
+/// Whether `profile` reaches a measured cycle's totals exactly at its
+/// end: the check a template must pass to enter `Steady`.
+fn profile_reaches(profile: &CycleProfile, latency: SimTime, busy: SimTime, occ_raw: f64) -> bool {
+    let (b, o) = profile.at(latency);
+    b == busy && o.to_bits() == occ_raw.to_bits()
+}
+
+/// The shared copy of `profile` in the intern `table`, added if new;
+/// entries no steady node holds any more are dropped on insertion.
+fn intern_profile(table: &mut Vec<Arc<CycleProfile>>, profile: CycleProfile) -> Arc<CycleProfile> {
+    if let Some(p) = table.iter().find(|p| ***p == profile) {
+        return Arc::clone(p);
+    }
+    table.retain(|p| Arc::strong_count(p) > 1);
+    let p = Arc::new(profile);
+    table.push(Arc::clone(&p));
+    p
 }
 
 impl Engine {
@@ -363,6 +389,7 @@ impl Engine {
             node_events,
             ff_cluster_cycles: 0,
             ff_cluster_events_coalesced: 0,
+            cycle_profiles: Vec::new(),
             trace: Vec::new(),
         }
     }
@@ -1485,17 +1512,14 @@ impl Engine {
 
     /// Invalidates every fast-forwarded burst on a node; called before any
     /// contention change (new client, repartition, clock change).
+    ///
+    /// Walks the node's own pods in ascending `PodId` order; a pod holding
+    /// a macro token is never a zombie, so the cluster's list covers them.
     fn ff_break_node(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
-        let pods: Vec<PodId> = self
-            .pods
-            .iter()
-            .filter(|(_, rt)| {
-                rt.node == node && rt.active.as_ref().is_some_and(|a| a.ff.is_some())
-            })
-            .map(|(p, _)| p)
-            .collect();
-        for p in pods {
-            self.ff_break_pod(now, p, queue);
+        let mut i = 0;
+        while let Some(&pod) = self.cluster.pods_on(node).get(i) {
+            self.ff_break_pod(now, pod, queue);
+            i += 1;
         }
     }
 
@@ -1508,10 +1532,12 @@ impl Engine {
     // detects that regime (`Armed` measures one template cycle between two
     // completions), then stops scheduling per-request events entirely
     // (`Steady`): whole cycles are credited in closed form at the next
-    // control-plane touch, and the at-most-one in-flight request a touch
-    // can observe is materialized by replaying real events through a local
-    // queue. All credited quantities are exact integer arithmetic, so
-    // reports stay byte-identical to the event-by-event run.
+    // control-plane touch. A metrics sample reads the at-most-one
+    // in-flight request off the template's recorded GPU profile; any other
+    // touch that must see it materializes it by replaying real events
+    // through a local queue. All credited quantities are exact integer
+    // arithmetic, so reports stay byte-identical to the event-by-event
+    // run.
 
     /// Whether cluster fast-forward is active (requires the device layer).
     fn cluster_ff_on(&self) -> bool {
@@ -1569,9 +1595,8 @@ impl Engine {
         Some(gap)
     }
 
-    /// Observes a completion on an idle node: arms a cycle measurement,
-    /// verifies an armed one (entering `Steady`), or re-enters `Steady`
-    /// after a materialized catch-up request (`Resuming`).
+    /// Observes a completion on an idle node: arms a cycle measurement, or
+    /// verifies an armed one and enters `Steady`.
     fn steady_observe(
         &mut self,
         now: SimTime,
@@ -1583,87 +1608,98 @@ impl Engine {
     ) {
         let i = node.index();
         let Some(gap) = self.steady_eligible(now, node, pod, func, arrived) else {
-            self.node_phase[i] = NodePhase::Inactive;
+            self.disarm(i);
             return;
         };
         let client = self.pods[pod].client;
-        let Ok(gpu_probe) = self
-            .cluster
-            .node(node)
-            .map(|n| n.gpu.metrics().steady_probe(now, client))
-        else {
+        let Ok(metrics) = self.cluster.node_mut(node).map(|n| n.gpu.metrics_mut()) else {
             return;
         };
-        let (busy, occ_raw, kernels, client_busy) = gpu_probe;
+        let (busy, occ_raw, kernels, client_busy) = metrics.steady_probe(now, client);
+        let recording = metrics.take_recording();
         let Some((q_used, epochs, tokens)) =
             self.backends.get(node).and_then(|b| b.steady_probe(pod))
         else {
-            self.node_phase[i] = NodePhase::Inactive;
+            self.disarm(i);
             return;
         };
-        match std::mem::replace(&mut self.node_phase[i], NodePhase::Inactive) {
-            NodePhase::Resuming { mut cycle, expect }
-                if cycle.pod == pod
-                    && cycle.gap == gap
-                    && arrived == expect
-                    && now == expect + cycle.latency =>
-            {
-                // The materialized request replayed the template cycle
-                // exactly; resume crediting without re-measuring.
-                if let Some(tok) = self.funcs.get_mut(func).and_then(|f| f.arrival_token.take())
-                {
-                    let cancelled = queue.cancel(tok);
-                    debug_assert!(cancelled, "steady entry cancels a live arrival");
-                    cycle.next_arrival = arrived + gap;
-                    self.node_phase[i] = NodePhase::Steady(cycle);
-                }
-            }
+        let template = match std::mem::replace(&mut self.node_phase[i], NodePhase::Inactive) {
             NodePhase::Armed(a)
                 if a.pod == pod && now == a.completion + gap && arrived == a.arrival + gap =>
             {
                 // One full cycle measured between two completions exactly
-                // one gap apart: its deltas are the template.
-                let latency = now - arrived;
-                let met = self.funcs.get(func).is_some_and(|f| latency <= f.slo.slo());
-                let Some(tok) = self.funcs.get_mut(func).and_then(|f| f.arrival_token.take())
-                else {
-                    return; // no pending arrival chain: nothing to coalesce
-                };
-                let cancelled = queue.cancel(tok);
-                debug_assert!(cancelled, "steady entry cancels a live arrival");
-                self.node_phase[i] = NodePhase::Steady(SteadyCycle {
-                    func,
-                    pod,
-                    client,
-                    gap,
-                    latency,
-                    next_arrival: arrived + gap,
-                    met,
-                    d_busy: busy - a.busy,
-                    d_occ_raw: occ_raw - a.occ_raw,
-                    d_kernels: kernels - a.kernels,
-                    d_client_busy: client_busy - a.client_busy,
-                    d_q_used: q_used - a.q_used,
-                    d_epochs: epochs - a.epochs,
-                    d_tokens: tokens - a.tokens,
-                    cycle_events: (self.node_events[i] - a.events) + 1,
-                });
+                // one gap apart: its deltas are the template, and its
+                // recording the template's profile, which must reach the
+                // measured totals exactly at the cycle's end.
+                let (d_busy, d_occ_raw) = (busy - a.busy, occ_raw - a.occ_raw);
+                recording
+                    .and_then(|log| {
+                        CycleProfile::from_recording(log, arrived, now, (a.busy, a.occ_raw))
+                    })
+                    .filter(|p| profile_reaches(p, now - arrived, d_busy, d_occ_raw))
+                    .map(|profile| (a, profile, d_busy, d_occ_raw))
             }
-            _ => {
-                // Fresh (or failed) measurement: this completion is C0.
-                self.node_phase[i] = NodePhase::Armed(ArmedCycle {
-                    pod,
-                    arrival: arrived,
-                    completion: now,
-                    busy,
-                    occ_raw,
-                    kernels,
-                    client_busy,
-                    q_used,
-                    epochs,
-                    tokens,
-                    events: self.node_events[i],
-                });
+            _ => None,
+        };
+        let Some((a, profile, d_busy, d_occ_raw)) = template else {
+            // Fresh (or failed) measurement: this completion is C0.
+            self.node_phase[i] = NodePhase::Armed(ArmedCycle {
+                pod,
+                arrival: arrived,
+                completion: now,
+                busy,
+                occ_raw,
+                kernels,
+                client_busy,
+                q_used,
+                epochs,
+                tokens,
+                events: self.node_events[i],
+            });
+            if let Ok(n) = self.cluster.node_mut(node) {
+                n.gpu.metrics_mut().start_recording(Vec::new());
+            }
+            return;
+        };
+        let latency = now - arrived;
+        let met = self.funcs.get(func).is_some_and(|f| latency <= f.slo.slo());
+        let Some(tok) = self
+            .funcs
+            .get_mut(func)
+            .and_then(|f| f.arrival_token.take())
+        else {
+            return; // no pending arrival chain: nothing to coalesce
+        };
+        let cancelled = queue.cancel(tok);
+        debug_assert!(cancelled, "steady entry cancels a live arrival");
+        self.node_phase[i] = NodePhase::Steady(SteadyCycle {
+            func,
+            pod,
+            client,
+            gap,
+            latency,
+            next_arrival: arrived + gap,
+            met,
+            d_busy,
+            d_occ_raw,
+            d_kernels: kernels - a.kernels,
+            d_client_busy: client_busy - a.client_busy,
+            d_q_used: q_used - a.q_used,
+            d_epochs: epochs - a.epochs,
+            d_tokens: tokens - a.tokens,
+            cycle_events: (self.node_events[i] - a.events) + 1,
+            profile: intern_profile(&mut self.cycle_profiles, profile),
+            sampled: SimTime::ZERO,
+        });
+    }
+
+    /// Drops an armed measurement and stops its profile recording; other
+    /// phases are left as they are.
+    fn disarm(&mut self, i: usize) {
+        if let Some(phase @ NodePhase::Armed(_)) = self.node_phase.get_mut(i) {
+            *phase = NodePhase::Inactive;
+            if let Ok(n) = self.cluster.node_mut(NodeId::from_index(i)) {
+                n.gpu.metrics_mut().take_recording();
             }
         }
     }
@@ -1672,6 +1708,8 @@ impl Engine {
     /// bounds at `≤ now`, for Platform-API touches; control events that
     /// order before same-instant work use the strict `< now` bound) in
     /// closed form against the gateway, trackers, backend and GPU metrics.
+    /// The first cycle's GPU busy time and occupancy count only from the
+    /// offset a closed-form sample already covered.
     fn steady_credit(&mut self, now: SimTime, node: NodeId, inclusive: bool) {
         let Some(NodePhase::Steady(cycle)) = self.node_phase.get_mut(node.index()) else {
             return;
@@ -1699,15 +1737,16 @@ impl Engine {
         let latency = cycle.latency;
         let met = cycle.met;
         let start = cycle.next_arrival;
-        let (d_busy, d_occ_raw, d_kernels, d_client_busy) = (
-            cycle.d_busy,
-            cycle.d_occ_raw,
-            cycle.d_kernels,
-            cycle.d_client_busy,
-        );
+        let (skip_busy, skip_occ) = cycle.profile.at(cycle.sampled);
+        // u64→f64: k is bounded by the run's cycle count, far below 2^53.
+        // fastg-lint: allow(no-lossy-cast)
+        let occ_raw = cycle.d_occ_raw * k as f64 - skip_occ;
+        let busy = (cycle.d_busy * k).saturating_sub(skip_busy);
+        let (kernels, client_busy) = (cycle.d_kernels * k, cycle.d_client_busy * k);
         let (d_q_used, d_epochs, d_tokens) = (cycle.d_q_used, cycle.d_epochs, cycle.d_tokens);
         let cycle_events = cycle.cycle_events;
         cycle.next_arrival = start + gap * k;
+        cycle.sampled = SimTime::ZERO;
         self.ff_cluster_cycles += k;
         self.ff_cluster_events_coalesced += cycle_events * k;
         self.gateway.credit_arrival_run(func, start, gap, k);
@@ -1728,7 +1767,55 @@ impl Engine {
         if let Ok(n) = self.cluster.node_mut(node) {
             n.gpu
                 .metrics_mut()
-                .credit_steady_cycles(client, k, d_busy, d_occ_raw, d_kernels, d_client_busy);
+                .credit_steady(client, busy, occ_raw, kernels, client_busy);
+        }
+    }
+
+    /// Closed-form metrics sample of a steady node whose request is in
+    /// flight at `now` (arrived strictly before, completes at or after):
+    /// the template profile gives the cycle's GPU busy time and occupancy
+    /// up to the offset `τ = now − arrival`; the part past the last
+    /// sampled offset goes into the open window, and `τ` is carried so
+    /// the cycle's credit adds only the rest. The node stays `Steady`.
+    /// Exact: a profile read is the same integer sum the event-by-event
+    /// cycle accumulates up to `now`.
+    fn steady_sample(&mut self, now: SimTime, node: NodeId) {
+        let Some(NodePhase::Steady(cycle)) = self.node_phase.get_mut(node.index()) else {
+            return;
+        };
+        if cycle.next_arrival >= now {
+            return;
+        }
+        let offset = now - cycle.next_arrival;
+        if sanitizer::active() {
+            sanitizer::check(
+                profile_reaches(&cycle.profile, cycle.latency, cycle.d_busy, cycle.d_occ_raw),
+                "steady-sample-template",
+                || format!("node {node:?}: profile totals differ from the measured cycle"),
+            );
+            sanitizer::check(
+                cycle.sampled <= offset && offset <= cycle.latency,
+                "steady-sample-offset",
+                || {
+                    format!(
+                        "node {node:?}: offset {offset:?} after {:?}, latency {:?}",
+                        cycle.sampled, cycle.latency
+                    )
+                },
+            );
+        }
+        let (b0, o0) = cycle.profile.at(cycle.sampled);
+        let (b1, o1) = cycle.profile.at(offset);
+        cycle.sampled = offset;
+        let client = cycle.client;
+        if let Ok(n) = self.cluster.node_mut(node) {
+            n.gpu.metrics_mut().credit_steady(
+                client,
+                b1.saturating_sub(b0),
+                o1 - o0,
+                0,
+                SimTime::ZERO,
+            );
         }
     }
 
@@ -1736,29 +1823,29 @@ impl Engine {
     /// cycles up to `now`, then either re-schedules the next (future)
     /// arrival or materializes the single in-flight request by replaying
     /// its events through a local queue — events beyond the bound drain to
-    /// the real queue with their cancellation tokens re-homed. `resume`
-    /// stashes the template for direct re-entry (only sound when nothing
-    /// about the node's timing changed, i.e. metric-sample catch-ups).
+    /// the real queue with their cancellation tokens re-homed. The part of
+    /// that request a closed-form sample already counted is not counted
+    /// twice: the replay's GPU metric updates from before the sample
+    /// instant (the window start) clamp to it.
     fn steady_exit(
         &mut self,
         now: SimTime,
         node: NodeId,
         inclusive: bool,
-        resume: bool,
         queue: &mut EventQueue<Event>,
     ) {
         let i = node.index();
         match self.node_phase.get(i) {
             None | Some(NodePhase::Inactive) => return,
-            Some(NodePhase::Armed(_) | NodePhase::Resuming { .. }) => {
+            Some(NodePhase::Armed(_)) => {
                 // Already running real events; drop the measurement.
-                self.node_phase[i] = NodePhase::Inactive;
+                self.disarm(i);
                 return;
             }
             Some(NodePhase::Steady(_)) => {}
         }
         self.steady_credit(now, node, inclusive);
-        let NodePhase::Steady(mut cycle) =
+        let NodePhase::Steady(cycle) =
             std::mem::replace(&mut self.node_phase[i], NodePhase::Inactive)
         else {
             return;
@@ -1772,9 +1859,6 @@ impl Engine {
             if let Some(frt) = self.funcs.get_mut(cycle.func) {
                 debug_assert!(frt.arrival_token.is_none(), "one pending arrival per chain");
                 frt.arrival_token = Some(tok);
-            }
-            if resume {
-                self.node_phase[i] = NodePhase::Resuming { cycle, expect };
             }
             return;
         }
@@ -1824,10 +1908,6 @@ impl Engine {
                 | Event::Dispatch(_) => queue.schedule(t, ev),
             }
         }
-        if resume {
-            cycle.next_arrival = expect + cycle.gap;
-            self.node_phase[i] = NodePhase::Resuming { cycle, expect };
-        }
     }
 
     /// Exits every node from the steady regime (control-plane touches
@@ -1837,7 +1917,7 @@ impl Engine {
             return;
         }
         for i in 0..self.node_phase.len() {
-            self.steady_exit(now, NodeId::from_index(i), inclusive, false, queue);
+            self.steady_exit(now, NodeId::from_index(i), inclusive, queue);
         }
     }
 
@@ -2004,9 +2084,7 @@ impl Engine {
             // control event orders ahead of same-instant work) — the
             // reset itself is cycle-neutral under the `quota_limit = 1`
             // eligibility gate.
-            if matches!(self.node_phase.get(node.index()), Some(NodePhase::Armed(_))) {
-                self.node_phase[node.index()] = NodePhase::Inactive;
-            }
+            self.disarm(node.index());
             self.steady_credit(now, node, false);
         }
         let grants = match self.backends.get_mut(node) {
@@ -2017,34 +2095,30 @@ impl Engine {
             }
         };
         self.process_grants(now, &grants, queue);
-        self.poke_dispatch(now, node, queue);
+        // A node still steady after its credit has one pod, idle and not
+        // waiting (its requests run in closed form), so a dispatch pass
+        // could grant nothing: skip scheduling it.
+        if !matches!(
+            self.node_phase.get(node.index()),
+            Some(NodePhase::Steady(_))
+        ) {
+            self.poke_dispatch(now, node, queue);
+        }
         queue.schedule(now + self.cfg.window, Event::WindowReset(node));
     }
 
     fn on_metrics_sample(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         if self.cluster_ff_on() {
-            // Samples observe instantaneous GPU state, so a steady node
-            // with a request in flight at the sample instant must
-            // materialize it (replaying its kernel events) before the
-            // probes below run. `resume = true`: sampling is
-            // cycle-neutral, so the template re-enters Steady when the
-            // materialized request completes on schedule.
+            // A steady node credits its whole cycles, then samples its
+            // in-flight request (if any) in closed form and stays steady.
             for i in 0..self.node_phase.len() {
                 let node = NodeId::from_index(i);
                 // An armed measurement cannot span the sample: it resets
                 // the utilization and occupancy windows, so busy/occ
                 // deltas across it would be meaningless (or underflow).
-                if matches!(self.node_phase.get(i), Some(NodePhase::Armed(_))) {
-                    self.node_phase[i] = NodePhase::Inactive;
-                }
+                self.disarm(i);
                 self.steady_credit(now, node, false);
-                let in_flight = matches!(
-                    self.node_phase.get(i),
-                    Some(NodePhase::Steady(c)) if c.next_arrival < now
-                );
-                if in_flight {
-                    self.steady_exit(now, node, false, true, queue);
-                }
+                self.steady_sample(now, node);
             }
         }
         for node in self.cluster.node_ids() {
@@ -2948,6 +3022,8 @@ impl Snap for SteadyCycle {
             d_epochs,
             d_tokens,
             cycle_events,
+            profile,
+            sampled,
         } = self;
         func.snap(w);
         pod.snap(w);
@@ -2964,6 +3040,8 @@ impl Snap for SteadyCycle {
         w.u64(*d_epochs);
         w.u64(*d_tokens);
         w.u64(*cycle_events);
+        profile.snap(w);
+        sampled.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let cycle = SteadyCycle {
@@ -2982,11 +3060,18 @@ impl Snap for SteadyCycle {
             d_epochs: r.u64()?,
             d_tokens: r.u64()?,
             cycle_events: r.u64()?,
+            profile: Arc::new(CycleProfile::unsnap(r)?),
+            sampled: SimTime::unsnap(r)?,
         };
         // A steady template requires gap > latency (the queue is provably
         // always empty); an encoding violating that is corrupt.
         if cycle.gap <= cycle.latency {
             return Err(SnapError::new("steady cycle gap"));
+        }
+        let profile_ok =
+            profile_reaches(&cycle.profile, cycle.latency, cycle.d_busy, cycle.d_occ_raw);
+        if !profile_ok || cycle.sampled > cycle.latency {
+            return Err(SnapError::new("steady cycle profile"));
         }
         Ok(cycle)
     }
@@ -3004,11 +3089,6 @@ impl Snap for NodePhase {
                 w.u8(2);
                 cycle.snap(w);
             }
-            NodePhase::Resuming { cycle, expect } => {
-                w.u8(3);
-                cycle.snap(w);
-                expect.snap(w);
-            }
         }
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -3016,10 +3096,6 @@ impl Snap for NodePhase {
             0 => NodePhase::Inactive,
             1 => NodePhase::Armed(ArmedCycle::unsnap(r)?),
             2 => NodePhase::Steady(SteadyCycle::unsnap(r)?),
-            3 => NodePhase::Resuming {
-                cycle: SteadyCycle::unsnap(r)?,
-                expect: SimTime::unsnap(r)?,
-            },
             _ => return Err(SnapError::new("node phase tag")),
         })
     }
@@ -3162,6 +3238,7 @@ impl Engine {
             node_events,
             ff_cluster_cycles,
             ff_cluster_events_coalesced,
+            cycle_profiles: _,
             trace,
         } = self;
         cfg.snap(w);
@@ -3182,6 +3259,21 @@ impl Engine {
         w.u64(*ff_coalesced_kernels);
         dispatch_pending.snap(w);
         node_phase.snap(w);
+        // An armed node's profile recording lives in its GPU metrics (the
+        // device writes it); one log per armed node follows the phases.
+        for (i, phase) in node_phase.iter().enumerate() {
+            if matches!(phase, NodePhase::Armed(_)) {
+                let log = cluster
+                    .node(NodeId::from_index(i))
+                    .ok()
+                    .and_then(|n| n.gpu.metrics().recording())
+                    .unwrap_or(&[]);
+                w.len_prefix(log.len());
+                for p in log {
+                    p.snap(w);
+                }
+            }
+        }
         node_events.snap(w);
         w.u64(*ff_cluster_cycles);
         w.u64(*ff_cluster_events_coalesced);
@@ -3193,7 +3285,7 @@ impl Engine {
     /// part of the payload) and then handed its captured planes.
     fn unsnap_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let cfg = PlatformConfig::unsnap(r)?;
-        let cluster = Cluster::unsnap(r)?;
+        let mut cluster = Cluster::unsnap(r)?;
         let gateway = Gateway::unsnap(r)?;
         let backends: IdArena<NodeId, FastBackend> = IdArena::unsnap(r)?;
         let stores: IdArena<NodeId, ModelStorageServer> = IdArena::unsnap(r)?;
@@ -3210,7 +3302,24 @@ impl Engine {
         let ff_bursts = r.u64()?;
         let ff_coalesced_kernels = r.u64()?;
         let dispatch_pending = IdSet::unsnap(r)?;
-        let node_phase: Vec<NodePhase> = Vec::unsnap(r)?;
+        let mut node_phase: Vec<NodePhase> = Vec::unsnap(r)?;
+        let mut cycle_profiles = Vec::new();
+        for (i, phase) in node_phase.iter_mut().enumerate() {
+            match phase {
+                NodePhase::Inactive => {}
+                NodePhase::Armed(_) => {
+                    let log: Vec<ProfilePoint> = Vec::unsnap(r)?;
+                    let node = cluster
+                        .node_mut(NodeId::from_index(i))
+                        .map_err(|_| SnapError::new("armed phase of unknown node"))?;
+                    node.gpu.metrics_mut().start_recording(log);
+                }
+                NodePhase::Steady(cycle) => {
+                    let profile = CycleProfile::clone(&cycle.profile);
+                    cycle.profile = intern_profile(&mut cycle_profiles, profile);
+                }
+            }
+        }
         let node_events: Vec<u64> = Vec::unsnap(r)?;
         let ff_cluster_cycles = r.u64()?;
         let ff_cluster_events_coalesced = r.u64()?;
@@ -3249,6 +3358,7 @@ impl Engine {
             node_events,
             ff_cluster_cycles,
             ff_cluster_events_coalesced,
+            cycle_profiles,
             trace,
         })
     }
@@ -3526,6 +3636,70 @@ mod tests {
                 Platform::from_snapshot(&p.checkpoint()).err(),
                 Some(SnapError::new("cluster pod of unknown function"))
             );
+        }
+    }
+
+    /// Platform API calls exit every steady node first, so only a
+    /// checkpoint taken between events holds armed and steady phases:
+    /// mid-recording (240 ms) and mid-cycle after a closed-form sample
+    /// (one tick past the 1.5 s sample). Both re-encode to the same bytes
+    /// and resume to the straight run's report.
+    #[test]
+    fn checkpoint_between_events_keeps_armed_and_steady_phases() {
+        let fleet = || {
+            let mut p = Platform::new(
+                PlatformConfig::default()
+                    .nodes(3)
+                    .policy(SharingPolicy::FaST)
+                    .fastforward(true)
+                    .cluster_fastforward(true)
+                    .window(SimTime::from_secs(1))
+                    .sample_interval(SimTime::from_millis(250))
+                    .tiebreak(fastg_des::TieBreak::Fifo)
+                    .seed(5),
+            );
+            for (i, (model, rate)) in [("resnet50", 22.0), ("rnnt", 7.0), ("gnmt", 9.0)]
+                .into_iter()
+                .enumerate()
+            {
+                let fc = FunctionConfig::new(&format!("f{i}"), model)
+                    .replicas(1)
+                    .resources(100.0, 1.0, 1.0);
+                let f = p.deploy(fc).unwrap();
+                p.set_load(f, ArrivalProcess::constant(rate));
+            }
+            p
+        };
+        fn recording(e: &Engine) -> bool {
+            e.node_phase.iter().enumerate().any(|(i, ph)| {
+                matches!(ph, NodePhase::Armed(_))
+                    && e.cluster
+                        .node(NodeId::from_index(i))
+                        .is_ok_and(|n| n.gpu.metrics().recording().is_some_and(|r| !r.is_empty()))
+            })
+        }
+        fn sampled(e: &Engine) -> bool {
+            e.node_phase
+                .iter()
+                .any(|ph| matches!(ph, NodePhase::Steady(c) if c.sampled > SimTime::ZERO))
+        }
+        let end = SimTime::from_secs(3);
+        let straight = fleet().run_for(end).canonical_text();
+        for (split, holds) in [
+            (SimTime::from_millis(240), recording as fn(&Engine) -> bool),
+            (SimTime::from_micros(1_500_001), sampled),
+        ] {
+            let mut p = fleet();
+            p.sim.run_until(split);
+            assert!(holds(p.sim.world()), "phase missing at {split:?}");
+            let snap = p.checkpoint();
+            let mut resumed = Platform::from_snapshot(&snap).unwrap();
+            assert!(
+                resumed.checkpoint() == snap,
+                "re-encode differs at {split:?}"
+            );
+            let report = resumed.run_for(end - split);
+            assert_eq!(report.canonical_text(), straight, "resume at {split:?}");
         }
     }
 

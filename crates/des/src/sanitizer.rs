@@ -22,7 +22,12 @@
 //!   the device-wide SM budget,
 //! * `overload-conservation` — every admitted request is accounted for
 //!   exactly once in the report identity
-//!   `arrivals == completed + rejected + shed + dropped + queued + in-flight`.
+//!   `arrivals == completed + rejected + shed + dropped + queued + in-flight`,
+//! * `steady-sample-template` — a closed-form metrics sample reads a
+//!   template profile whose whole-cycle totals equal the measured cycle's
+//!   busy time and occupancy integral,
+//! * `steady-sample-offset` — the in-cycle offset a closed-form sample
+//!   carries never moves backwards and never exceeds the cycle latency.
 
 use crate::queue::TieBreak;
 use crate::time::SimTime;

@@ -89,6 +89,10 @@ impl TimeWeighted {
         self.last_change = now;
     }
 
+    /// Integrates up to `now`. A timestamp earlier than the window start
+    /// clamps to it (`last_change` never precedes `started`): a replay of
+    /// signal changes from before the last [`Self::reset`] only moves the
+    /// level, and counts no area the closed window already holds.
     fn accumulate(&mut self, now: SimTime) {
         // u64→f64: dt is far below 2^53 µs (≈ 285 simulated years).
         // fastg-lint: allow(no-lossy-cast)
@@ -160,10 +164,13 @@ impl BusyTracker {
         }
     }
 
-    /// Marks one more concurrent activity beginning at `now`.
+    /// Marks one more concurrent activity beginning at `now`. A `now`
+    /// earlier than the window start clamps to it, so replaying activity
+    /// that began before the last [`Self::reset`] counts only its
+    /// in-window part (an `end` before the window start then adds zero).
     pub fn begin(&mut self, now: SimTime) {
         if self.active == 0 {
-            self.busy_since = Some(now);
+            self.busy_since = Some(now.max(self.started));
         }
         self.active += 1;
     }
@@ -385,6 +392,31 @@ mod tests {
         // Still busy after reset; busy 2..3 over window 2..4 = 50 %.
         b.end(SimTime::from_secs(3));
         assert!((b.utilization_at(SimTime::from_secs(4)) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn updates_before_the_window_start_clamp_to_it() {
+        // Window reset at 2 s while idle, then a replay of activity that
+        // spans it: only the in-window part counts.
+        let mut b = BusyTracker::new(SimTime::ZERO);
+        b.reset(SimTime::from_secs(2));
+        b.begin(SimTime::from_secs(1));
+        assert_eq!(b.busy_at(SimTime::from_secs(2)), SimTime::ZERO);
+        b.end(SimTime::from_secs(3));
+        assert_eq!(b.busy_at(SimTime::from_secs(4)), SimTime::from_secs(1));
+        // An interval entirely before the window adds nothing.
+        b.begin(SimTime::from_millis(500));
+        b.end(SimTime::from_millis(1500));
+        assert_eq!(b.busy_at(SimTime::from_secs(4)), SimTime::from_secs(1));
+        assert_eq!(b.active(), 0);
+
+        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
+        tw.reset(SimTime::from_secs(2));
+        tw.add(SimTime::from_secs(1), 4.0); // level moves, no area
+        assert_eq!(tw.raw_integral_at(SimTime::from_secs(2)), 0.0);
+        tw.add(SimTime::from_secs(3), -4.0); // 4 SMs over 2..3 s
+        assert_eq!(tw.raw_integral_at(SimTime::from_secs(4)), 4e6);
+        assert_eq!(tw.current(), 0.0);
     }
 
     #[test]

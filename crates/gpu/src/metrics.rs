@@ -26,6 +26,137 @@ pub struct GpuWindowStats {
     pub kernels_completed: u64,
 }
 
+/// One instant of a recorded request cycle: the cumulative busy time and
+/// raw occupancy integral (SM × µs, see
+/// [`fastg_des::TimeWeighted::raw_integral_at`]) at `at`, and the levels
+/// both signals hold from `at` until the next point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProfilePoint {
+    /// Instant of the boundary (after every change at that instant).
+    at: SimTime,
+    /// Busy time accumulated through `at`.
+    busy: SimTime,
+    /// Raw occupancy integral through `at`.
+    occ_raw: f64,
+    /// Whether at least one kernel is resident from `at` on.
+    busy_on: bool,
+    /// SMs occupied from `at` on.
+    occupied: f64,
+}
+
+/// A steady request cycle's GPU signals as functions of the offset `τ`
+/// since its arrival: cumulative busy time `B(τ)` and raw occupancy
+/// integral `O(τ)`, built from the recording of one real cycle.
+///
+/// Every value is exact (integer `SimTime` sums, integer-valued `f64`
+/// far below 2⁵³), so reading `O(τ)` at a metrics sample and crediting
+/// `O(L) − O(τ)` at the end of the cycle lands bit-identically on what
+/// the event-by-event cycle accumulates on either side of the sample.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CycleProfile {
+    /// Boundaries with `at`, `busy` and `occ_raw` relative to the
+    /// cycle's arrival, strictly increasing in `at`.
+    points: Vec<ProfilePoint>,
+}
+
+impl CycleProfile {
+    /// Builds the profile of the cycle that arrived at `arrival` and
+    /// completed at `completion` from the boundaries `log` recorded
+    /// meanwhile (rebased in place), with the busy/occupancy totals
+    /// `base` read at `arrival`. Returns `None` unless the recording is
+    /// a well-formed cycle: every boundary inside `[arrival, completion]`,
+    /// in time order, and the GPU idle after the last one.
+    pub fn from_recording(
+        mut log: Vec<ProfilePoint>,
+        arrival: SimTime,
+        completion: SimTime,
+        base: (SimTime, f64),
+    ) -> Option<Self> {
+        for p in &mut log {
+            if p.at < arrival || p.at > completion || p.busy < base.0 {
+                return None;
+            }
+            p.at -= arrival;
+            p.busy -= base.0;
+            p.occ_raw -= base.1;
+        }
+        let profile = CycleProfile { points: log };
+        profile.well_formed().then_some(profile)
+    }
+
+    /// `(B(τ), O(τ))`: busy time and raw occupancy integral of the cycle
+    /// through `offset` past its arrival.
+    pub fn at(&self, offset: SimTime) -> (SimTime, f64) {
+        let i = self.points.partition_point(|p| p.at <= offset);
+        let Some(p) = i.checked_sub(1).and_then(|i| self.points.get(i)) else {
+            return (SimTime::ZERO, 0.0);
+        };
+        let dt = offset - p.at;
+        let busy = if p.busy_on { p.busy + dt } else { p.busy };
+        // u64→f64: dt is far below 2^53 µs.
+        // fastg-lint: allow(no-lossy-cast)
+        (busy, p.occ_raw + p.occupied * dt.as_micros() as f64)
+    }
+
+    /// Strictly increasing offsets, busy time never ahead of the offset
+    /// (so [`Self::at`] cannot overflow), finite occupancy, and an idle
+    /// GPU after the last boundary.
+    fn well_formed(&self) -> bool {
+        let ordered = self.points.windows(2).all(|w| w[0].at < w[1].at);
+        let bounded = self
+            .points
+            .iter()
+            .all(|p| p.busy <= p.at && p.occ_raw.is_finite() && p.occupied.is_finite());
+        let idle_after = self
+            .points
+            .last()
+            .map_or(true, |p| !p.busy_on && p.occupied.to_bits() == 0);
+        ordered && bounded && idle_after
+    }
+}
+
+impl Snap for ProfilePoint {
+    fn snap(&self, w: &mut SnapWriter) {
+        let Self {
+            at,
+            busy,
+            occ_raw,
+            busy_on,
+            occupied,
+        } = self;
+        at.snap(w);
+        busy.snap(w);
+        w.f64(*occ_raw);
+        w.bool(*busy_on);
+        w.f64(*occupied);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(ProfilePoint {
+            at: SimTime::unsnap(r)?,
+            busy: SimTime::unsnap(r)?,
+            occ_raw: r.f64()?,
+            busy_on: r.bool()?,
+            occupied: r.f64()?,
+        })
+    }
+}
+
+impl Snap for CycleProfile {
+    fn snap(&self, w: &mut SnapWriter) {
+        let Self { points } = self;
+        points.snap(w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let profile = CycleProfile {
+            points: Vec::unsnap(r)?,
+        };
+        if !profile.well_formed() {
+            return Err(SnapError::new("cycle profile"));
+        }
+        Ok(profile)
+    }
+}
+
 /// Live metric accounting for one GPU.
 #[derive(Debug, Clone)]
 pub struct GpuMetrics {
@@ -38,6 +169,10 @@ pub struct GpuMetrics {
     util_series: TimeSeries,
     occ_series: TimeSeries,
     window_start: SimTime,
+    /// Boundaries of the request cycle cluster fast-forward is measuring
+    /// on this GPU, `None` when not measuring. Not part of this type's
+    /// snapshot: the engine carries it with the armed phase that owns it.
+    recording: Option<Vec<ProfilePoint>>,
 }
 
 impl GpuMetrics {
@@ -54,6 +189,7 @@ impl GpuMetrics {
             util_series: TimeSeries::new(),
             occ_series: TimeSeries::new(),
             window_start: SimTime::ZERO,
+            recording: None,
         }
     }
 
@@ -61,6 +197,7 @@ impl GpuMetrics {
     pub fn kernel_started(&mut self, now: SimTime, granted_sms: u32) {
         self.util.begin(now);
         self.occupied_sms.add(now, granted_sms as f64);
+        self.record(now);
     }
 
     /// Records a kernel finishing; `gpu_time` is its residency duration and
@@ -74,6 +211,7 @@ impl GpuMetrics {
     ) {
         self.util.end(now);
         self.occupied_sms.add(now, -(granted_sms as f64));
+        self.record(now);
         self.kernels_completed += 1;
         self.window_kernels += 1;
         *self
@@ -91,6 +229,7 @@ impl GpuMetrics {
     pub fn kernel_finish_boundary(&mut self, now: SimTime, granted_sms: u32) {
         self.util.end(now);
         self.occupied_sms.add(now, -(granted_sms as f64));
+        self.record(now);
     }
 
     /// The merged boundary of a back-to-back kernel handoff: one kernel
@@ -103,6 +242,7 @@ impl GpuMetrics {
     pub fn kernel_handoff(&mut self, now: SimTime, finished_sms: u32, started_sms: u32) {
         self.occupied_sms
             .add(now, f64::from(started_sms) - f64::from(finished_sms));
+        self.record(now);
     }
 
     /// Batched counter updates equivalent to `kernels` individual
@@ -128,6 +268,43 @@ impl GpuMetrics {
     pub fn kernel_aborted(&mut self, now: SimTime, granted_sms: u32) {
         self.util.end(now);
         self.occupied_sms.add(now, -(granted_sms as f64));
+        self.record(now);
+    }
+
+    /// Appends the signals' state after a boundary at `now` to the
+    /// recording, if one is running; boundaries at one instant fold into
+    /// a single point.
+    fn record(&mut self, now: SimTime) {
+        let Some(log) = self.recording.as_mut() else {
+            return;
+        };
+        let point = ProfilePoint {
+            at: now,
+            busy: self.util.busy_at(now),
+            occ_raw: self.occupied_sms.raw_integral_at(now),
+            busy_on: self.util.active() > 0,
+            occupied: self.occupied_sms.current(),
+        };
+        match log.last_mut() {
+            Some(last) if last.at == now => *last = point,
+            _ => log.push(point),
+        }
+    }
+
+    /// Starts recording every busy/occupancy boundary onto `log` (empty
+    /// for a fresh measurement; a restored one continues its own log).
+    pub fn start_recording(&mut self, log: Vec<ProfilePoint>) {
+        self.recording = Some(log);
+    }
+
+    /// Stops recording and hands back the boundaries recorded so far.
+    pub fn take_recording(&mut self) -> Option<Vec<ProfilePoint>> {
+        self.recording.take()
+    }
+
+    /// The boundaries recorded so far, if recording.
+    pub fn recording(&self) -> Option<&[ProfilePoint]> {
+        self.recording.as_deref()
     }
 
     /// Closes the current sampling window at `now`, appends the samples to
@@ -173,27 +350,26 @@ impl GpuMetrics {
         )
     }
 
-    /// Credits `k` coalesced steady cycles in closed form — bit-identical
-    /// to replaying the template cycle `k` times through the event-driven
-    /// path, because every credited quantity is exact integer arithmetic
-    /// (see [`fastg_des::TimeWeighted::credit_raw`]). Only valid while the
-    /// device is idle (no resident kernels), which holds at the completion
-    /// instants cluster FF enters and exits steady state on.
-    pub fn credit_steady_cycles(
+    /// Credits coalesced steady-cycle work in closed form: `busy` and
+    /// `occ_raw` into the open window's busy time and raw occupancy
+    /// integral, `kernels` and `client_busy` into the completion tallies.
+    /// Bit-identical to the event-driven path, because every credited
+    /// quantity is exact integer arithmetic (see
+    /// [`fastg_des::TimeWeighted::credit_raw`]). Only valid while the
+    /// device is idle (no resident kernels), which holds whenever cluster
+    /// fast-forward runs a node's cycles in closed form.
+    pub fn credit_steady(
         &mut self,
         client: ClientId,
-        k: u64,
-        cycle_busy: SimTime,
-        cycle_occ_raw: f64,
-        cycle_kernels: u64,
-        cycle_client_busy: SimTime,
+        busy: SimTime,
+        occ_raw: f64,
+        kernels: u64,
+        client_busy: SimTime,
     ) {
         debug_assert_eq!(self.util.active(), 0, "credit while kernels resident");
-        self.util.credit(cycle_busy * k);
-        // u64→f64: k is bounded by the run's cycle count, far below 2^53.
-        // fastg-lint: allow(no-lossy-cast)
-        self.occupied_sms.credit_raw(cycle_occ_raw * k as f64);
-        self.tally_finished(client, cycle_kernels * k, cycle_client_busy * k);
+        self.util.credit(busy);
+        self.occupied_sms.credit_raw(occ_raw);
+        self.tally_finished(client, kernels, client_busy);
     }
 
     /// Cumulative GPU busy time attributed to `client` (the Gemini-style
@@ -238,6 +414,7 @@ impl Snap for GpuMetrics {
             util_series,
             occ_series,
             window_start,
+            recording: _,
         } = self;
         w.u32(*sm_count);
         util.snap(w);
@@ -260,6 +437,7 @@ impl Snap for GpuMetrics {
             util_series: TimeSeries::unsnap(r)?,
             occ_series: TimeSeries::unsnap(r)?,
             window_start: SimTime::unsnap(r)?,
+            recording: None,
         })
     }
 }
@@ -316,6 +494,35 @@ mod tests {
         m.kernel_finished(SimTime::from_millis(35), c, 4, SimTime::from_millis(15));
         assert_eq!(m.client_busy(c), SimTime::from_millis(25));
         assert_eq!(m.client_busy(ClientId(9)), SimTime::ZERO);
+    }
+
+    #[test]
+    fn recorded_profile_reads_partial_cycles_exactly() {
+        // A cycle arriving at 10 ms: 8 SMs over 12..15 ms, handoff to 4
+        // SMs until 18 ms, idle, then 8 SMs over 20..21 ms.
+        let ms = SimTime::from_millis;
+        let mut m = GpuMetrics::new(80);
+        m.start_recording(Vec::new());
+        m.kernel_started(ms(12), 8);
+        m.kernel_handoff(ms(15), 8, 4);
+        m.kernel_finished(ms(18), ClientId(0), 4, ms(6));
+        m.kernel_started(ms(20), 8);
+        m.kernel_finish_boundary(ms(21), 8);
+        let log = m.take_recording().unwrap();
+        assert_eq!(log.len(), 5);
+        let base = (SimTime::ZERO, 0.0);
+        let p = CycleProfile::from_recording(log.clone(), ms(10), ms(22), base).unwrap();
+        assert_eq!(p.at(ms(1)), (SimTime::ZERO, 0.0));
+        assert_eq!(p.at(ms(4)), (ms(2), 16_000.0));
+        assert_eq!(p.at(ms(9)), (ms(6), 36_000.0));
+        assert_eq!(p.at(ms(12)), (ms(7), 44_000.0));
+        // The whole cycle equals what the trackers measured.
+        assert_eq!(p.at(ms(12)).0, m.steady_probe(ms(22), ClientId(0)).0);
+        assert_eq!(p.at(ms(12)).1, m.steady_probe(ms(22), ClientId(0)).1);
+        // A boundary outside the cycle, or a busy GPU at its end, is no
+        // cycle at all.
+        assert!(CycleProfile::from_recording(log.clone(), ms(13), ms(22), base).is_none());
+        assert!(CycleProfile::from_recording(log[..4].to_vec(), ms(10), ms(22), base).is_none());
     }
 
     #[test]
