@@ -3683,16 +3683,31 @@ mod tests {
                 .iter()
                 .any(|ph| matches!(ph, NodePhase::Steady(c) if c.sampled > SimTime::ZERO))
         }
+        // FNV-1a of the snapshot bytes: the only pins on the armed-cycle,
+        // steady-cycle and cycle-profile codecs, since a checkpoint taken
+        // through the public API follows `run_for`, which exits every
+        // steady node first.
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
         let end = SimTime::from_secs(3);
         let straight = fleet().run_for(end).canonical_text();
-        for (split, holds) in [
-            (SimTime::from_millis(240), recording as fn(&Engine) -> bool),
-            (SimTime::from_micros(1_500_001), sampled),
+        for (split, holds, pin) in [
+            (
+                SimTime::from_millis(240),
+                recording as fn(&Engine) -> bool,
+                0xaeac_5858_37b3_bd4f,
+            ),
+            (SimTime::from_micros(1_500_001), sampled, 0x961c_3d79_dc06_3abc),
         ] {
             let mut p = fleet();
             p.sim.run_until(split);
             assert!(holds(p.sim.world()), "phase missing at {split:?}");
             let snap = p.checkpoint();
+            let bytes = fnv1a(snap.as_bytes());
+            assert_eq!(bytes, pin, "snapshot at {split:?} moved: {bytes:#018x}");
             let mut resumed = Platform::from_snapshot(&snap).unwrap();
             assert!(
                 resumed.checkpoint() == snap,
