@@ -235,9 +235,11 @@ impl Snap for GpuMemory {
         let live: BTreeMap<u64, u64> = BTreeMap::unsnap(r)?;
         let handles: BTreeMap<u64, DevicePtr> = BTreeMap::unsnap(r)?;
         let next_handle = r.u64()?;
-        let used: u64 = live.values().sum();
-        let unused: u64 = free.values().sum();
-        if used.checked_add(unused) != Some(capacity) {
+        let accounted = live
+            .values()
+            .chain(free.values())
+            .try_fold(0u64, |acc, &len| acc.checked_add(len));
+        if accounted != Some(capacity) {
             return Err(SnapError::new("gpu memory accounting"));
         }
         Ok(GpuMemory {

@@ -180,7 +180,7 @@ impl Snap for LatencyHistogram {
             return Err(SnapError::new("histogram bucket count"));
         }
         let count = r.u64()?;
-        if counts.iter().sum::<u64>() != count {
+        if counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c)) != Some(count) {
             return Err(SnapError::new("histogram total"));
         }
         Ok(LatencyHistogram {

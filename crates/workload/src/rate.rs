@@ -170,8 +170,8 @@ impl Snap for RateMeter {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let runs: Vec<Run> = Vec::unsnap(r)?;
         let total = r.u64()?;
-        let sum: u64 = runs.iter().map(|run| run.count).sum();
-        if sum != total {
+        let sum = runs.iter().try_fold(0u64, |acc, run| acc.checked_add(run.count));
+        if sum != Some(total) {
             return Err(SnapError::new("rate meter total"));
         }
         Ok(RateMeter { runs, total })

@@ -24,7 +24,7 @@ use fastg_workload::{patterns, ArrivalProcess, RateEstimator};
 use fastgshare::manager::{SchedPolicy, SharingPolicy};
 use fastgshare::platform::{
     FaultKind, FaultPlan, FunctionConfig, Platform, PlatformConfig, PlatformReport, Scenario,
-    TieBreak,
+    Snapshot, TieBreak,
 };
 use fastgshare::profiler::db::{ProfileDb, ProfileKey, ProfileRecord};
 
@@ -392,4 +392,52 @@ fn standalone_codec_pins() {
         (0x9551_3a76_7997_5045, 0x0add_565c_1fc7_3de4),
         "standalone pins moved: prefix key {prefix:#018x}, rate estimator {estimator:#018x}"
     );
+}
+
+/// Decodes `bytes` as a snapshot, catching a panic instead of
+/// propagating it. `Some(ok)` is a typed outcome; `None` is a panic.
+fn decode_outcome(bytes: Vec<u8>) -> Option<bool> {
+    std::panic::catch_unwind(move || {
+        Snapshot::from_bytes(bytes)
+            .and_then(|s| Platform::from_snapshot(&s))
+            .is_ok()
+    })
+    .ok()
+}
+
+/// Hostile-input decode: every truncation of two pinned scenarios'
+/// snapshots is a typed error, and a seeded sample of single-bit flips
+/// decodes to a platform or a typed error, never a panic. Runs in the
+/// debug build, where an unchecked sum over counts read off the wire
+/// panics on overflow.
+#[test]
+fn corrupt_snapshots_decode_without_panicking() {
+    const FLIPS: usize = 8_000;
+    let mut panicked = Vec::new();
+    for (name, mut p) in [("arrivals", arrivals()), ("model-sharing", model_sharing())] {
+        p.run_for(SimTime::from_millis(1200));
+        let bytes = p.checkpoint().as_bytes().to_vec();
+        for cut in 0..bytes.len() {
+            match decode_outcome(bytes[..cut].to_vec()) {
+                Some(ok) => assert!(!ok, "{name}: truncation at {cut} decoded"),
+                None => panicked.push(format!("{name}: truncation at {cut}")),
+            }
+        }
+        // SplitMix64 over a fixed seed: the same flips on every run.
+        let mut state = 0x5eed_0000_0000_0000 ^ bytes.len() as u64;
+        let bits = bytes.len() * 8;
+        for _ in 0..FLIPS {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let bit = usize::try_from((z ^ (z >> 31)) % bits as u64).unwrap();
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if decode_outcome(flipped).is_none() {
+                panicked.push(format!("{name}: bit flip at {bit}"));
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "decode panicked: {panicked:?}");
 }
