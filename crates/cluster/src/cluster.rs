@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::spec::{FuncId, ResourceSpec};
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_enum, snap_newtype, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{ArenaKey, IdArena, SimTime};
 use fastg_gpu::{ClientId, DevicePtr, GpuDevice, GpuSpec, MpsMode};
 
@@ -501,117 +501,31 @@ impl Cluster {
     }
 }
 
-impl Snap for NodeId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let NodeId(raw) = self;
-        w.u32(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeId(r.u32()?))
-    }
-}
+snap_newtype!(NodeId, PodId);
 
-impl Snap for PodId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let PodId(raw) = self;
-        w.u64(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(PodId(r.u64()?))
-    }
-}
+snap_enum!(PodState, "pod state tag" {
+    0 => Running,
+    1 => Terminating,
+});
 
-impl Snap for PodState {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            PodState::Running => w.u8(0),
-            PodState::Terminating => w.u8(1),
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(PodState::Running),
-            1 => Ok(PodState::Terminating),
-            _ => Err(SnapError::new("pod state tag")),
-        }
-    }
-}
+snap_enum!(NodeState, "node state tag" {
+    0 => Up,
+    1 => Degraded,
+    2 => Down,
+});
 
-impl Snap for NodeState {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            NodeState::Up => w.u8(0),
-            NodeState::Degraded => w.u8(1),
-            NodeState::Down => w.u8(2),
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(NodeState::Up),
-            1 => Ok(NodeState::Degraded),
-            2 => Ok(NodeState::Down),
-            _ => Err(SnapError::new("node state tag")),
-        }
-    }
-}
+snap_struct!(Node { id, name, gpu, state });
 
-impl Snap for Node {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            id,
-            name,
-            gpu,
-            state,
-        } = self;
-        id.snap(w);
-        name.snap(w);
-        gpu.snap(w);
-        state.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Node {
-            id: NodeId::unsnap(r)?,
-            name: String::unsnap(r)?,
-            gpu: GpuDevice::unsnap(r)?,
-            state: NodeState::unsnap(r)?,
-        })
-    }
-}
-
-impl Snap for Pod {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            id,
-            func,
-            node,
-            client,
-            resources,
-            memory,
-            state,
-            created_at,
-        } = self;
-        id.snap(w);
-        func.snap(w);
-        node.snap(w);
-        client.snap(w);
-        resources.snap(w);
-        memory.snap(w);
-        state.snap(w);
-        created_at.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Pod {
-            id: PodId::unsnap(r)?,
-            func: FuncId::unsnap(r)?,
-            node: NodeId::unsnap(r)?,
-            client: ClientId::unsnap(r)?,
-            resources: ResourceSpec::unsnap(r)?,
-            memory: Option::unsnap(r)?,
-            state: PodState::unsnap(r)?,
-            created_at: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Pod {
+    id,
+    func,
+    node,
+    client,
+    resources,
+    memory,
+    state,
+    created_at,
+});
 
 impl Snap for Cluster {
     fn snap(&self, w: &mut SnapWriter) {

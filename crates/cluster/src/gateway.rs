@@ -3,7 +3,7 @@
 
 use crate::cluster::PodId;
 use crate::spec::FuncId;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_newtype, snap_struct, SnapError};
 use fastg_des::{IdArena, SimTime};
 use fastg_workload::RateMeter;
 use std::collections::VecDeque;
@@ -439,101 +439,33 @@ impl Gateway {
     }
 }
 
-impl Snap for RequestId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let RequestId(raw) = self;
-        w.u64(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RequestId(r.u64()?))
-    }
-}
+snap_newtype!(RequestId);
 
-impl Snap for Request {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            id,
-            func,
-            arrived,
-            deadline,
-        } = self;
-        id.snap(w);
-        func.snap(w);
-        arrived.snap(w);
-        deadline.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Request {
-            id: RequestId::unsnap(r)?,
-            func: FuncId::unsnap(r)?,
-            arrived: SimTime::unsnap(r)?,
-            deadline: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Request { id, func, arrived, deadline });
 
-impl Snap for FuncState {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            queue,
-            idle_pods,
-            members,
-            arrivals,
-            dropped,
-            capacity,
-            rejected,
-            shed_deadline,
-            retries,
-        } = self;
-        queue.snap(w);
-        idle_pods.snap(w);
-        members.snap(w);
-        arrivals.snap(w);
-        w.u64(*dropped);
-        capacity.snap(w);
-        w.u64(*rejected);
-        w.u64(*shed_deadline);
-        retries.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let queue: VecDeque<Request> = VecDeque::unsnap(r)?;
-        let idle_pods: Vec<PodId> = Vec::unsnap(r)?;
-        let members: Vec<PodId> = Vec::unsnap(r)?;
-        if idle_pods.windows(2).any(|w| w[0] >= w[1])
-            || members.windows(2).any(|w| w[0] >= w[1])
+snap_struct!(
+    FuncState {
+        queue,
+        idle_pods,
+        members,
+        arrivals,
+        dropped,
+        capacity,
+        rejected,
+        shed_deadline,
+        retries,
+    },
+    check = |f: &FuncState| {
+        if f.idle_pods.windows(2).any(|w| w[0] >= w[1])
+            || f.members.windows(2).any(|w| w[0] >= w[1])
         {
             return Err(SnapError::new("gateway pod set order"));
         }
-        Ok(FuncState {
-            queue,
-            idle_pods,
-            members,
-            arrivals: RateMeter::unsnap(r)?,
-            dropped: r.u64()?,
-            capacity: Option::unsnap(r)?,
-            rejected: r.u64()?,
-            shed_deadline: r.u64()?,
-            retries: Vec::unsnap(r)?,
-        })
+        Ok(())
     }
-}
+);
 
-impl Snap for Gateway {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            funcs,
-            next_request,
-        } = self;
-        funcs.snap(w);
-        w.u64(*next_request);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Gateway {
-            funcs: IdArena::unsnap(r)?,
-            next_request: r.u64()?,
-        })
-    }
-}
+snap_struct!(Gateway { funcs, next_request });
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 //! uses the estimate to size token leases and, optionally, to refuse
 //! grants that would overrun the pod's remaining quota.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_struct, SnapError};
 use fastg_des::SimTime;
 
 /// Exponentially weighted estimate of a pod's kernel-burst GPU time.
@@ -77,32 +77,15 @@ impl BurstEstimator {
     }
 }
 
-impl Snap for BurstEstimator {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            alpha,
-            mean_us,
-            dev_us,
-            observations,
-        } = self;
-        alpha.snap(w);
-        mean_us.snap(w);
-        dev_us.snap(w);
-        w.u64(*observations);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let alpha = f64::unsnap(r)?;
-        if !(alpha.is_finite() && alpha > 0.0 && alpha <= 1.0) {
+snap_struct!(
+    BurstEstimator { alpha, mean_us, dev_us, observations },
+    check = |e: &BurstEstimator| {
+        if !(e.alpha.is_finite() && e.alpha > 0.0 && e.alpha <= 1.0) {
             return Err(SnapError::new("estimator alpha"));
         }
-        Ok(BurstEstimator {
-            alpha,
-            mean_us: f64::unsnap(r)?,
-            dev_us: f64::unsnap(r)?,
-            observations: r.u64()?,
-        })
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {

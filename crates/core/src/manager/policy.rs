@@ -1,6 +1,6 @@
 //! The GPU sharing policies compared in the paper's evaluation.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::snap_enum;
 
 /// How a node's GPU is shared among function pods.
 ///
@@ -114,45 +114,19 @@ impl std::fmt::Display for SchedPolicy {
     }
 }
 
-impl Snap for SharingPolicy {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            SharingPolicy::Exclusive => 0,
-            SharingPolicy::SingleToken => 1,
-            SharingPolicy::Racing => 2,
-            SharingPolicy::FaST => 3,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => SharingPolicy::Exclusive,
-            1 => SharingPolicy::SingleToken,
-            2 => SharingPolicy::Racing,
-            3 => SharingPolicy::FaST,
-            _ => return Err(SnapError::new("sharing policy tag")),
-        })
-    }
-}
+snap_enum!(SharingPolicy, "sharing policy tag" {
+    0 => Exclusive,
+    1 => SingleToken,
+    2 => Racing,
+    3 => FaST,
+});
 
-impl Snap for SchedPolicy {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            SchedPolicy::Paper => 0,
-            SchedPolicy::FastPath => 1,
-            SchedPolicy::DemandMatch => 2,
-            SchedPolicy::PriorityColocate => 3,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => SchedPolicy::Paper,
-            1 => SchedPolicy::FastPath,
-            2 => SchedPolicy::DemandMatch,
-            3 => SchedPolicy::PriorityColocate,
-            _ => return Err(SnapError::new("sched policy tag")),
-        })
-    }
-}
+snap_enum!(SchedPolicy, "sched policy tag" {
+    0 => Paper,
+    1 => FastPath,
+    2 => DemandMatch,
+    3 => PriorityColocate,
+});
 
 #[cfg(test)]
 mod tests {

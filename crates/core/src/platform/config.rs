@@ -3,7 +3,7 @@
 use super::faults::FaultPlan;
 use super::overload::OverloadConfig;
 use crate::manager::{SchedPolicy, SharingPolicy};
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_struct, SnapError};
 use fastg_des::{SimTime, TieBreak};
 use fastg_gpu::GpuSpec;
 
@@ -356,118 +356,47 @@ impl PlatformConfig {
     }
 }
 
-impl Snap for PlatformConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            gpu,
-            node_count,
-            node_gpus,
-            policy,
-            window,
-            token_lease,
-            sm_global_limit,
-            model_sharing,
-            sample_interval,
-            warmup,
-            autoscale_interval,
-            autoscale_headroom,
-            predict_window,
-            min_replicas,
-            oversubscribe,
-            seed,
-            fault_plan,
-            recovery,
-            health_interval,
-            request_timeout_factor,
-            retry_budget,
-            overload,
-            fastforward,
-            cluster_fastforward,
-            event_capacity,
-            tiebreak,
-            trace_events,
-            sched,
-        } = self;
-        gpu.snap(w);
-        w.len_prefix(*node_count);
-        node_gpus.snap(w);
-        policy.snap(w);
-        window.snap(w);
-        token_lease.snap(w);
-        w.f64(*sm_global_limit);
-        model_sharing.snap(w);
-        sample_interval.snap(w);
-        warmup.snap(w);
-        autoscale_interval.snap(w);
-        w.f64(*autoscale_headroom);
-        predict_window.snap(w);
-        w.len_prefix(*min_replicas);
-        oversubscribe.snap(w);
-        w.u64(*seed);
-        fault_plan.snap(w);
-        recovery.snap(w);
-        health_interval.snap(w);
-        request_timeout_factor.snap(w);
-        retry_budget.snap(w);
-        overload.snap(w);
-        fastforward.snap(w);
-        cluster_fastforward.snap(w);
-        event_capacity.snap(w);
-        tiebreak.snap(w);
-        trace_events.snap(w);
-        sched.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let gpu = GpuSpec::unsnap(r)?;
-        let node_count = r.len_prefix()?;
-        let node_gpus = Option::<Vec<GpuSpec>>::unsnap(r)?;
-        let policy = SharingPolicy::unsnap(r)?;
-        let window = SimTime::unsnap(r)?;
-        let token_lease = Option::<SimTime>::unsnap(r)?;
-        let sm_global_limit = r.f64()?;
-        if !(sm_global_limit.is_finite() && sm_global_limit > 0.0) {
+snap_struct!(
+    PlatformConfig {
+        gpu,
+        node_count,
+        node_gpus,
+        policy,
+        window,
+        token_lease,
+        sm_global_limit,
+        model_sharing,
+        sample_interval,
+        warmup,
+        autoscale_interval,
+        autoscale_headroom,
+        predict_window,
+        min_replicas,
+        oversubscribe,
+        seed,
+        fault_plan,
+        recovery,
+        health_interval,
+        request_timeout_factor,
+        retry_budget,
+        overload,
+        fastforward,
+        cluster_fastforward,
+        event_capacity,
+        tiebreak,
+        trace_events,
+        sched,
+    },
+    check = |cfg: &PlatformConfig| {
+        if !(cfg.sm_global_limit.is_finite() && cfg.sm_global_limit > 0.0) {
             return Err(SnapError::new("config sm limit"));
         }
-        let model_sharing = bool::unsnap(r)?;
-        let sample_interval = SimTime::unsnap(r)?;
-        let warmup = SimTime::unsnap(r)?;
-        let autoscale_interval = SimTime::unsnap(r)?;
-        let autoscale_headroom = r.f64()?;
-        if !(autoscale_headroom.is_finite() && autoscale_headroom >= 1.0) {
+        if !(cfg.autoscale_headroom.is_finite() && cfg.autoscale_headroom >= 1.0) {
             return Err(SnapError::new("config headroom"));
         }
-        Ok(PlatformConfig {
-            gpu,
-            node_count,
-            node_gpus,
-            policy,
-            window,
-            token_lease,
-            sm_global_limit,
-            model_sharing,
-            sample_interval,
-            warmup,
-            autoscale_interval,
-            autoscale_headroom,
-            predict_window: SimTime::unsnap(r)?,
-            min_replicas: r.len_prefix()?,
-            oversubscribe: bool::unsnap(r)?,
-            seed: r.u64()?,
-            fault_plan: Option::unsnap(r)?,
-            recovery: bool::unsnap(r)?,
-            health_interval: SimTime::unsnap(r)?,
-            request_timeout_factor: Option::unsnap(r)?,
-            retry_budget: Option::unsnap(r)?,
-            overload: Option::unsnap(r)?,
-            fastforward: bool::unsnap(r)?,
-            cluster_fastforward: bool::unsnap(r)?,
-            event_capacity: Option::unsnap(r)?,
-            tiebreak: TieBreak::unsnap(r)?,
-            trace_events: bool::unsnap(r)?,
-            sched: SchedPolicy::unsnap(r)?,
-        })
+        Ok(())
     }
-}
+);
 
 /// Per-function deployment configuration.
 #[derive(Debug, Clone)]
@@ -588,42 +517,16 @@ impl FunctionConfig {
     }
 }
 
-impl Snap for FunctionConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            name,
-            model,
-            slo,
-            replicas,
-            resources,
-            saturate,
-        } = self;
-        name.snap(w);
-        model.snap(w);
-        slo.snap(w);
-        w.len_prefix(*replicas);
-        resources.snap(w);
-        saturate.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let name = String::unsnap(r)?;
-        let model = String::unsnap(r)?;
-        let slo = SimTime::unsnap(r)?;
-        let replicas = r.len_prefix()?;
-        let resources = <(f64, f64, f64)>::unsnap(r)?;
-        if !(resources.0.is_finite() && resources.1.is_finite() && resources.2.is_finite()) {
+snap_struct!(
+    FunctionConfig { name, model, slo, replicas, resources, saturate },
+    check = |fc: &FunctionConfig| {
+        let (sm, request, limit) = fc.resources;
+        if !(sm.is_finite() && request.is_finite() && limit.is_finite()) {
             return Err(SnapError::new("function resources"));
         }
-        Ok(FunctionConfig {
-            name,
-            model,
-            slo,
-            replicas,
-            resources,
-            saturate: bool::unsnap(r)?,
-        })
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {

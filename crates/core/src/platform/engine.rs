@@ -22,7 +22,7 @@ use fastg_cluster::{
     Cluster, FuncId, FaSTFuncSpec, Gateway, NodeId, NodeState, PodId, PodState, Request,
     RequestId, ResourceSpec,
 };
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use fastg_des::{
     sanitizer, ArenaKey, CancelToken, EventQueue, IdArena, IdSet, SimTime, Simulation, TimeSeries,
     World,
@@ -2818,251 +2818,86 @@ impl Platform {
 // ----- checkpoint / fork ------------------------------------------------
 //
 // Everything below serializes engine state for `Platform::checkpoint`.
-// Every `snap`/`unsnap` body destructures its struct exhaustively (no
-// `..` rest patterns) so adding a field without deciding its snapshot
-// story is a compile error, and the `exhaustive-snapshot-fields` lint
-// rule keeps it that way.
+// Field-list codecs come from `snap_struct!`/`snap_enum!`, which
+// destructure exhaustively, so adding a field without deciding its
+// snapshot story is a compile error. The hand-written `snap_state`
+// bodies take out-of-band context (model profiles, the scheduler, the
+// armed nodes' recordings) and destructure exhaustively by hand; the
+// `exhaustive-snapshot-fields` lint rule keeps them that way.
 
-impl Snap for Event {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Event::Arrival(func) => {
-                w.u8(0);
-                func.snap(w);
-            }
-            Event::HostDone(pod) => {
-                w.u8(1);
-                pod.snap(w);
-            }
-            Event::KernelFinish(node, kernel) => {
-                w.u8(2);
-                node.snap(w);
-                kernel.snap(w);
-            }
-            Event::BurstFastForward(node, pod) => {
-                w.u8(3);
-                node.snap(w);
-                pod.snap(w);
-            }
-            Event::WindowReset(node) => {
-                w.u8(4);
-                node.snap(w);
-            }
-            Event::ScaleTick => w.u8(5),
-            Event::MetricsSample => w.u8(6),
-            Event::Fault(index) => {
-                w.u8(7);
-                w.len_prefix(*index);
-            }
-            Event::HealthTick => w.u8(8),
-            Event::RequestTimeout(func, id) => {
-                w.u8(9);
-                func.snap(w);
-                id.snap(w);
-            }
-            Event::BreakerTick => w.u8(10),
-            Event::Dispatch(node) => {
-                w.u8(11);
-                node.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Event::Arrival(FuncId::unsnap(r)?),
-            1 => Event::HostDone(PodId::unsnap(r)?),
-            2 => Event::KernelFinish(NodeId::unsnap(r)?, KernelId::unsnap(r)?),
-            3 => Event::BurstFastForward(NodeId::unsnap(r)?, PodId::unsnap(r)?),
-            4 => Event::WindowReset(NodeId::unsnap(r)?),
-            5 => Event::ScaleTick,
-            6 => Event::MetricsSample,
-            7 => Event::Fault(r.len_prefix()?),
-            8 => Event::HealthTick,
-            9 => Event::RequestTimeout(FuncId::unsnap(r)?, RequestId::unsnap(r)?),
-            10 => Event::BreakerTick,
-            11 => Event::Dispatch(NodeId::unsnap(r)?),
-            // A match over the wire tag, not over `Event`: the wildcard
-            // is the mandatory invalid-byte error path.
-            // fastg-lint: allow(exhaustive-event-match)
-            _ => return Err(SnapError::new("event tag")),
-        })
-    }
-}
+snap_enum!(Event, "event tag" {
+    0 => Arrival(func),
+    1 => HostDone(pod),
+    2 => KernelFinish(node, kernel),
+    3 => BurstFastForward(node, pod),
+    4 => WindowReset(node),
+    5 => ScaleTick,
+    6 => MetricsSample,
+    7 => Fault(index),
+    8 => HealthTick,
+    9 => RequestTimeout(func, id),
+    10 => BreakerTick,
+    11 => Dispatch(node),
+});
 
-impl Snap for FuncRt {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            spec,
-            model,
-            resources,
-            slo,
-            completions,
-            load,
-            saturate,
-            replica_series,
-            desired_replicas,
-            outage_since,
-            backoff_exp,
-            backoff_until,
-            recoveries,
-            service_est,
-            goodput,
-            wasted_service,
-            browned_out,
-            breaker,
-            arrival_token,
-            normal_resources,
-        } = self;
-        spec.snap(w);
-        model.snap(w);
-        resources.snap(w);
-        slo.snap(w);
-        completions.snap(w);
-        load.snap(w);
-        w.bool(*saturate);
-        replica_series.snap(w);
-        w.len_prefix(*desired_replicas);
-        outage_since.snap(w);
-        w.u32(*backoff_exp);
-        backoff_until.snap(w);
-        recoveries.snap(w);
-        service_est.snap(w);
-        goodput.snap(w);
-        wasted_service.snap(w);
-        w.u64(*browned_out);
-        breaker.snap(w);
-        arrival_token.snap(w);
-        normal_resources.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FuncRt {
-            spec: FaSTFuncSpec::unsnap(r)?,
-            model: Arc::unsnap(r)?,
-            resources: ResourceSpec::unsnap(r)?,
-            slo: SloTracker::unsnap(r)?,
-            completions: RateMeter::unsnap(r)?,
-            load: Option::unsnap(r)?,
-            saturate: r.bool()?,
-            replica_series: TimeSeries::unsnap(r)?,
-            desired_replicas: r.len_prefix()?,
-            outage_since: Option::unsnap(r)?,
-            backoff_exp: r.u32()?,
-            backoff_until: SimTime::unsnap(r)?,
-            recoveries: Vec::unsnap(r)?,
-            service_est: BurstEstimator::unsnap(r)?,
-            goodput: RateMeter::unsnap(r)?,
-            wasted_service: SimTime::unsnap(r)?,
-            browned_out: r.u64()?,
-            breaker: CircuitBreaker::unsnap(r)?,
-            arrival_token: Option::unsnap(r)?,
-            normal_resources: ResourceSpec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(FuncRt {
+    spec,
+    model,
+    resources,
+    slo,
+    completions,
+    load,
+    saturate,
+    replica_series,
+    desired_replicas,
+    outage_since,
+    backoff_exp,
+    backoff_until,
+    recoveries,
+    service_est,
+    goodput,
+    wasted_service,
+    browned_out,
+    breaker,
+    arrival_token,
+    normal_resources,
+});
 
-impl Snap for ArmedCycle {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            pod,
-            arrival,
-            completion,
-            busy,
-            occ_raw,
-            kernels,
-            client_busy,
-            q_used,
-            epochs,
-            tokens,
-            events,
-        } = self;
-        pod.snap(w);
-        arrival.snap(w);
-        completion.snap(w);
-        busy.snap(w);
-        w.f64(*occ_raw);
-        w.u64(*kernels);
-        client_busy.snap(w);
-        q_used.snap(w);
-        w.u64(*epochs);
-        w.u64(*tokens);
-        w.u64(*events);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ArmedCycle {
-            pod: PodId::unsnap(r)?,
-            arrival: SimTime::unsnap(r)?,
-            completion: SimTime::unsnap(r)?,
-            busy: SimTime::unsnap(r)?,
-            occ_raw: r.f64()?,
-            kernels: r.u64()?,
-            client_busy: SimTime::unsnap(r)?,
-            q_used: SimTime::unsnap(r)?,
-            epochs: r.u64()?,
-            tokens: r.u64()?,
-            events: r.u64()?,
-        })
-    }
-}
+snap_struct!(ArmedCycle {
+    pod,
+    arrival,
+    completion,
+    busy,
+    occ_raw,
+    kernels,
+    client_busy,
+    q_used,
+    epochs,
+    tokens,
+    events,
+});
 
-impl Snap for SteadyCycle {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            func,
-            pod,
-            client,
-            gap,
-            latency,
-            next_arrival,
-            met,
-            d_busy,
-            d_occ_raw,
-            d_kernels,
-            d_client_busy,
-            d_q_used,
-            d_epochs,
-            d_tokens,
-            cycle_events,
-            profile,
-            sampled,
-        } = self;
-        func.snap(w);
-        pod.snap(w);
-        client.snap(w);
-        gap.snap(w);
-        latency.snap(w);
-        next_arrival.snap(w);
-        w.bool(*met);
-        d_busy.snap(w);
-        w.f64(*d_occ_raw);
-        w.u64(*d_kernels);
-        d_client_busy.snap(w);
-        d_q_used.snap(w);
-        w.u64(*d_epochs);
-        w.u64(*d_tokens);
-        w.u64(*cycle_events);
-        profile.snap(w);
-        sampled.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let cycle = SteadyCycle {
-            func: FuncId::unsnap(r)?,
-            pod: PodId::unsnap(r)?,
-            client: ClientId::unsnap(r)?,
-            gap: SimTime::unsnap(r)?,
-            latency: SimTime::unsnap(r)?,
-            next_arrival: SimTime::unsnap(r)?,
-            met: r.bool()?,
-            d_busy: SimTime::unsnap(r)?,
-            d_occ_raw: r.f64()?,
-            d_kernels: r.u64()?,
-            d_client_busy: SimTime::unsnap(r)?,
-            d_q_used: SimTime::unsnap(r)?,
-            d_epochs: r.u64()?,
-            d_tokens: r.u64()?,
-            cycle_events: r.u64()?,
-            profile: Arc::new(CycleProfile::unsnap(r)?),
-            sampled: SimTime::unsnap(r)?,
-        };
+snap_struct!(
+    SteadyCycle {
+        func,
+        pod,
+        client,
+        gap,
+        latency,
+        next_arrival,
+        met,
+        d_busy,
+        d_occ_raw,
+        d_kernels,
+        d_client_busy,
+        d_q_used,
+        d_epochs,
+        d_tokens,
+        cycle_events,
+        profile,
+        sampled,
+    },
+    check = |cycle: &SteadyCycle| {
         // A steady template requires gap > latency (the queue is provably
         // always empty); an encoding violating that is corrupt.
         if cycle.gap <= cycle.latency {
@@ -3073,33 +2908,15 @@ impl Snap for SteadyCycle {
         if !profile_ok || cycle.sampled > cycle.latency {
             return Err(SnapError::new("steady cycle profile"));
         }
-        Ok(cycle)
+        Ok(())
     }
-}
+);
 
-impl Snap for NodePhase {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            NodePhase::Inactive => w.u8(0),
-            NodePhase::Armed(cycle) => {
-                w.u8(1);
-                cycle.snap(w);
-            }
-            NodePhase::Steady(cycle) => {
-                w.u8(2);
-                cycle.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => NodePhase::Inactive,
-            1 => NodePhase::Armed(ArmedCycle::unsnap(r)?),
-            2 => NodePhase::Steady(SteadyCycle::unsnap(r)?),
-            _ => return Err(SnapError::new("node phase tag")),
-        })
-    }
-}
+snap_enum!(NodePhase, "node phase tag" {
+    0 => Inactive,
+    1 => Armed(cycle),
+    2 => Steady(cycle),
+});
 
 impl ActiveReq {
     /// Encodes the request plus its inference cursor. The model profile

@@ -29,7 +29,7 @@
 //!   recovery-hysteresis streak of healthy windows; a failure-rate trip
 //!   (node crash) fast-fails new arrivals until probes succeed.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_enum, snap_struct, SnapError};
 use fastg_des::SimTime;
 use std::collections::BTreeSet;
 
@@ -427,155 +427,70 @@ impl CircuitBreaker {
     }
 }
 
-impl Snap for OverloadConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            queue_capacity,
-            deadline_factor,
-            breaker_window,
-            trip_shed_ratio,
-            trip_failure_ratio,
-            min_window_arrivals,
-            min_failures,
-            open_duration,
-            half_open_probes,
-            close_healthy_windows,
-            brownout,
-            brownout_quota_factor,
-            recover_healthy_windows,
-        } = self;
-        w.len_prefix(*queue_capacity);
-        deadline_factor.snap(w);
-        breaker_window.snap(w);
-        trip_shed_ratio.snap(w);
-        trip_failure_ratio.snap(w);
-        w.u64(*min_window_arrivals);
-        w.u64(*min_failures);
-        open_duration.snap(w);
-        w.u64(*half_open_probes);
-        w.u32(*close_healthy_windows);
-        brownout.snap(w);
-        brownout_quota_factor.snap(w);
-        w.u32(*recover_healthy_windows);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let cfg = OverloadConfig {
-            queue_capacity: r.len_prefix()?,
-            deadline_factor: f64::unsnap(r)?,
-            breaker_window: SimTime::unsnap(r)?,
-            trip_shed_ratio: f64::unsnap(r)?,
-            trip_failure_ratio: f64::unsnap(r)?,
-            min_window_arrivals: r.u64()?,
-            min_failures: r.u64()?,
-            open_duration: SimTime::unsnap(r)?,
-            half_open_probes: r.u64()?,
-            close_healthy_windows: r.u32()?,
-            brownout: bool::unsnap(r)?,
-            brownout_quota_factor: f64::unsnap(r)?,
-            recover_healthy_windows: r.u32()?,
-        };
+snap_struct!(
+    OverloadConfig {
+        queue_capacity,
+        deadline_factor,
+        breaker_window,
+        trip_shed_ratio,
+        trip_failure_ratio,
+        min_window_arrivals,
+        min_failures,
+        open_duration,
+        half_open_probes,
+        close_healthy_windows,
+        brownout,
+        brownout_quota_factor,
+        recover_healthy_windows,
+    },
+    check = |cfg: &OverloadConfig| {
         if cfg.queue_capacity == 0
             || cfg.breaker_window == SimTime::ZERO
             || !(cfg.deadline_factor.is_finite() && cfg.deadline_factor > 0.0)
         {
             return Err(SnapError::new("overload config bounds"));
         }
-        Ok(cfg)
+        Ok(())
     }
-}
+);
 
-impl Snap for BreakerState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => BreakerState::Closed,
-            1 => BreakerState::Open,
-            2 => BreakerState::HalfOpen,
-            _ => return Err(SnapError::new("breaker state tag")),
-        })
-    }
-}
+snap_enum!(BreakerState, "breaker state tag" {
+    0 => Closed,
+    1 => Open,
+    2 => HalfOpen,
+});
 
-impl Snap for TripCause {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            TripCause::Shed => 0,
-            TripCause::Failure => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => TripCause::Shed,
-            1 => TripCause::Failure,
-            _ => return Err(SnapError::new("trip cause tag")),
-        })
-    }
-}
+snap_enum!(TripCause, "trip cause tag" {
+    0 => Shed,
+    1 => Failure,
+});
 
-impl Snap for CircuitBreaker {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            state,
-            cause,
-            opened_at,
-            trips,
-            arrivals,
-            sheds,
-            failures,
-            successes,
-            probe_ids,
-            probes_admitted,
-            probe_successes,
-            probe_failures,
-            healthy_windows,
-            browned,
-        } = self;
-        state.snap(w);
-        cause.snap(w);
-        opened_at.snap(w);
-        w.u64(*trips);
-        w.u64(*arrivals);
-        w.u64(*sheds);
-        w.u64(*failures);
-        w.u64(*successes);
-        probe_ids.snap(w);
-        w.u64(*probes_admitted);
-        w.u64(*probe_successes);
-        w.u64(*probe_failures);
-        w.u32(*healthy_windows);
-        browned.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let b = CircuitBreaker {
-            state: BreakerState::unsnap(r)?,
-            cause: TripCause::unsnap(r)?,
-            opened_at: SimTime::unsnap(r)?,
-            trips: r.u64()?,
-            arrivals: r.u64()?,
-            sheds: r.u64()?,
-            failures: r.u64()?,
-            successes: r.u64()?,
-            probe_ids: BTreeSet::unsnap(r)?,
-            probes_admitted: r.u64()?,
-            probe_successes: r.u64()?,
-            probe_failures: r.u64()?,
-            healthy_windows: r.u32()?,
-            browned: bool::unsnap(r)?,
-        };
-        let probe_count =
-            u64::try_from(b.probe_ids.len()).map_err(|_| SnapError::new("breaker probe count"))?;
+snap_struct!(
+    CircuitBreaker {
+        state,
+        cause,
+        opened_at,
+        trips,
+        arrivals,
+        sheds,
+        failures,
+        successes,
+        probe_ids,
+        probes_admitted,
+        probe_successes,
+        probe_failures,
+        healthy_windows,
+        browned,
+    },
+    check = |b: &CircuitBreaker| {
+        let probe_count = u64::try_from(b.probe_ids.len())
+            .map_err(|_| SnapError::new("breaker probe count"))?;
         if probe_count > b.probes_admitted {
             return Err(SnapError::new("breaker probe accounting"));
         }
-        Ok(b)
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {

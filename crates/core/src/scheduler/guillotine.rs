@@ -28,7 +28,7 @@
 
 use fastg_cluster::PodId;
 use fastg_des::sanitizer;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_enum, snap_struct, SnapError};
 
 use super::rects::{at_least_one, maximal_free_rects, FitRule, Rect};
 
@@ -675,61 +675,20 @@ impl GuillotineAlloc {
     }
 }
 
-impl Snap for SlotState {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            SlotState::Vacant => w.u8(0),
-            SlotState::Free { bucket_pos } => {
-                w.u8(1);
-                w.len_prefix(*bucket_pos);
-            }
-            SlotState::Used { pod } => {
-                w.u8(2);
-                pod.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => SlotState::Vacant,
-            1 => SlotState::Free {
-                bucket_pos: r.len_prefix()?,
-            },
-            2 => SlotState::Used {
-                pod: PodId::unsnap(r)?,
-            },
-            _ => return Err(SnapError::new("slot state tag")),
-        })
-    }
-}
+snap_enum!(SlotState, "slot state tag" {
+    0 => Vacant,
+    1 => Free { bucket_pos },
+    2 => Used { pod },
+});
 
-impl Snap for Slot {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            rect,
-            generation,
-            state,
-        } = self;
-        rect.snap(w);
-        w.u32(*generation);
-        state.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Slot {
-            rect: Rect::unsnap(r)?,
-            generation: r.u32()?,
-            state: SlotState::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Slot { rect, generation, state });
 
-impl Snap for GuillotineAlloc {
-    /// Every index structure is captured in its exact in-memory order —
-    /// the vacant LIFO, the bucket lists and the slab itself — because
-    /// slot-reuse order feeds generation stamps and therefore handle
-    /// validity. Only `merge_scratch` (a pure allocation cache) restores
-    /// empty.
-    fn snap(&self, w: &mut SnapWriter) {
+impl GuillotineAlloc {
+    /// Cross-checks a decoded allocator: positive geometry, slot indices
+    /// in range, vacant entries naming Vacant slots, exact bucket
+    /// back-pointers, sorted pod bindings naming matching Used slots, and
+    /// a used-area counter equal to the placement sum.
+    fn check_decoded(&self) -> Result<(), SnapError> {
         let Self {
             width,
             height,
@@ -738,43 +697,11 @@ impl Snap for GuillotineAlloc {
             buckets,
             pods,
             used_area,
-            fit_rule,
-            merges,
-            exact_fallbacks,
-            merge_scratch: _,
+            ..
         } = self;
-        w.u32(*width);
-        w.u32(*height);
-        slots.snap(w);
-        vacant.snap(w);
-        for bucket in buckets {
-            bucket.snap(w);
-        }
-        pods.snap(w);
-        w.u64(*used_area);
-        fit_rule.snap(w);
-        w.u64(*merges);
-        w.u64(*exact_fallbacks);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let width = r.u32()?;
-        let height = r.u32()?;
-        if width == 0 || height == 0 {
+        if *width == 0 || *height == 0 {
             return Err(SnapError::new("guillotine geometry"));
         }
-        let slots: Vec<Slot> = Vec::unsnap(r)?;
-        let vacant: Vec<u32> = Vec::unsnap(r)?;
-        let buckets = [
-            Vec::<u32>::unsnap(r)?,
-            Vec::<u32>::unsnap(r)?,
-            Vec::<u32>::unsnap(r)?,
-            Vec::<u32>::unsnap(r)?,
-        ];
-        let pods: Vec<(PodId, u32)> = Vec::unsnap(r)?;
-        let used_area = r.u64()?;
-        let fit_rule = FitRule::unsnap(r)?;
-        let merges = r.u64()?;
-        let exact_fallbacks = r.u64()?;
         let n = slots.len();
         let in_range = |i: &u32| ix(*i) < n;
         if !vacant.iter().all(in_range)
@@ -783,10 +710,6 @@ impl Snap for GuillotineAlloc {
         {
             return Err(SnapError::new("guillotine slot index"));
         }
-        // Cross-check the redundant index structures against the slab:
-        // vacant entries name Vacant slots, bucket back-pointers are
-        // exact, pod bindings are sorted and name matching Used slots,
-        // and the used-area counter equals the placement sum.
         if vacant
             .iter()
             .any(|&i| slots[ix(i)].state != SlotState::Vacant)
@@ -816,24 +739,33 @@ impl Snap for GuillotineAlloc {
                 .checked_add(slot.rect.area())
                 .ok_or_else(|| SnapError::new("guillotine area overflow"))?;
         }
-        if sum != used_area {
+        if sum != *used_area {
             return Err(SnapError::new("guillotine used area"));
         }
-        Ok(GuillotineAlloc {
-            width,
-            height,
-            slots,
-            vacant,
-            buckets,
-            pods,
-            used_area,
-            fit_rule,
-            merges,
-            exact_fallbacks,
-            merge_scratch: Vec::new(),
-        })
+        Ok(())
     }
 }
+
+// Every index structure is captured in its exact in-memory order — the
+// vacant LIFO, the bucket lists and the slab itself — because slot-reuse
+// order feeds generation stamps and therefore handle validity. Only
+// `merge_scratch` (a pure allocation cache) restores empty. Decode
+// cross-checks the redundant index structures against the slab.
+snap_struct!(
+    GuillotineAlloc {
+        width,
+        height,
+        slots,
+        vacant,
+        buckets,
+        pods,
+        used_area,
+        fit_rule,
+        merges,
+        exact_fallbacks,
+    } skip { merge_scratch },
+    check = GuillotineAlloc::check_decoded
+);
 
 /// The union of two rectangles sharing a full edge, if they do.
 fn merged_rect(a: &Rect, b: &Rect) -> Option<Rect> {

@@ -10,7 +10,7 @@
 //! that the pod now overlaps, and prunes redundancies.
 
 use fastg_cluster::PodId;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 // The reference allocator keeps its pod bindings in an ordered tree: it
 // is the differential-testing baseline, not a fleet hot path (the fast
 // path is `scheduler::guillotine`). fastg-lint: allow(no-btreemap-hot-path)
@@ -440,41 +440,13 @@ impl GpuRects {
     }
 }
 
-impl Snap for Rect {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { x, y, w: rw, h } = self;
-        w.u32(*x);
-        w.u32(*y);
-        w.u32(*rw);
-        w.u32(*h);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Rect {
-            x: r.u32()?,
-            y: r.u32()?,
-            w: r.u32()?,
-            h: r.u32()?,
-        })
-    }
-}
+snap_struct!(Rect { x, y, w, h });
 
-impl Snap for FitRule {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            FitRule::BestAreaFit => 0,
-            FitRule::BestShortSideFit => 1,
-            FitRule::BottomLeft => 2,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => FitRule::BestAreaFit,
-            1 => FitRule::BestShortSideFit,
-            2 => FitRule::BottomLeft,
-            _ => return Err(SnapError::new("fit rule tag")),
-        })
-    }
-}
+snap_enum!(FitRule, "fit rule tag" {
+    0 => BestAreaFit,
+    1 => BestShortSideFit,
+    2 => BottomLeft,
+});
 
 impl Snap for GpuRects {
     /// The free list is encoded in its exact in-memory order: MAXRECTS

@@ -243,11 +243,11 @@ impl<K: ArenaKey, V> IdArena<K, V> {
 }
 
 impl<K: ArenaKey, V> IdArena<K, V> {
-    /// Encodes the full slab with a caller-supplied value encoder, in the
-    /// exact wire format of the blanket [`Snap`] impl. For value types
-    /// whose encoding needs out-of-band context (e.g. a shared profile
-    /// looked up elsewhere) and therefore cannot implement [`Snap`]
-    /// directly.
+    /// Encodes the full slab with a caller-supplied value encoder. The
+    /// blanket [`Snap`] impl is this with each value's own codec; call it
+    /// directly for value types whose encoding needs out-of-band context
+    /// (e.g. a shared profile looked up elsewhere) and therefore cannot
+    /// implement [`Snap`].
     pub fn snap_with(&self, w: &mut SnapWriter, mut encode: impl FnMut(&V, &mut SnapWriter)) {
         let Self {
             slots,
@@ -271,7 +271,8 @@ impl<K: ArenaKey, V> IdArena<K, V> {
 
     /// Decodes a slab written by [`Self::snap_with`] (or the blanket
     /// [`Snap`] impl), handing each live slot's key to the caller-supplied
-    /// decoder so it can resolve out-of-band context.
+    /// decoder so it can resolve out-of-band context. A slot tag other
+    /// than 0/1 is a `"IdArena slot tag"` error.
     pub fn unsnap_with(
         r: &mut SnapReader<'_>,
         mut decode: impl FnMut(K, &mut SnapReader<'_>) -> Result<V, SnapError>,
@@ -308,40 +309,10 @@ impl<K: ArenaKey, V: Snap> Snap for IdArena<K, V> {
     /// generations are behavioural state: a stale [`Handle`] must still
     /// read as stale after a checkpoint/restore round trip.
     fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            slots,
-            len,
-            _marker,
-        } = self;
-        w.len_prefix(*len);
-        w.len_prefix(slots.len());
-        for slot in slots {
-            let Slot { generation, value } = slot;
-            w.u32(*generation);
-            value.snap(w);
-        }
+        self.snap_with(w, V::snap);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.len_prefix()?;
-        let n = r.len_prefix()?;
-        let mut slots = Vec::with_capacity(n.min(r.remaining()));
-        let mut live = 0usize;
-        for _ in 0..n {
-            let generation = r.u32()?;
-            let value = Option::<V>::unsnap(r)?;
-            if value.is_some() {
-                live += 1;
-            }
-            slots.push(Slot { generation, value });
-        }
-        if live != len {
-            return Err(SnapError::new("IdArena len"));
-        }
-        Ok(IdArena {
-            slots,
-            len,
-            _marker: PhantomData,
-        })
+        Self::unsnap_with(r, |_, r| V::unsnap(r))
     }
 }
 

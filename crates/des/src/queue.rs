@@ -1,7 +1,7 @@
 //! The timed event queue.
 
 use crate::sanitizer;
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap::{snap_enum, snap_newtype, Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -63,26 +63,11 @@ impl TieBreak {
     }
 }
 
-impl Snap for TieBreak {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            TieBreak::Fifo => w.u8(0),
-            TieBreak::Lifo => w.u8(1),
-            TieBreak::SeededShuffle(seed) => {
-                w.u8(2);
-                w.u64(*seed);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(TieBreak::Fifo),
-            1 => Ok(TieBreak::Lifo),
-            2 => Ok(TieBreak::SeededShuffle(r.u64()?)),
-            _ => Err(SnapError::new("TieBreak tag")),
-        }
-    }
-}
+snap_enum!(TieBreak, "TieBreak tag" {
+    0 => Fifo,
+    1 => Lifo,
+    2 => SeededShuffle(seed),
+});
 
 /// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
 fn splitmix64(mut z: u64) -> u64 {
@@ -134,15 +119,7 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CancelToken(u64);
 
-impl Snap for CancelToken {
-    fn snap(&self, w: &mut SnapWriter) {
-        let CancelToken(seq) = self;
-        w.u64(*seq);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CancelToken(r.u64()?))
-    }
-}
+snap_newtype!(CancelToken);
 
 /// A priority queue of `(SimTime, E)` pairs with deterministic FIFO
 /// tie-breaking for events scheduled at the same instant.

@@ -1,6 +1,6 @@
 //! Interval statistics: time-weighted integrators and sampled series.
 
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap::snap_struct;
 use crate::time::SimTime;
 
 /// Integrates a piecewise-constant signal over simulated time.
@@ -117,28 +117,7 @@ impl TimeWeighted {
     }
 }
 
-impl Snap for TimeWeighted {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            value,
-            last_change,
-            integral_us,
-            started,
-        } = self;
-        value.snap(w);
-        last_change.snap(w);
-        integral_us.snap(w);
-        started.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TimeWeighted {
-            value: f64::unsnap(r)?,
-            last_change: SimTime::unsnap(r)?,
-            integral_us: f64::unsnap(r)?,
-            started: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(TimeWeighted { value, last_change, integral_us, started });
 
 /// Tracks intervals during which a resource is busy (value > 0).
 ///
@@ -237,28 +216,7 @@ impl BusyTracker {
     }
 }
 
-impl Snap for BusyTracker {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            active,
-            busy_since,
-            busy_total,
-            started,
-        } = self;
-        active.snap(w);
-        busy_since.snap(w);
-        busy_total.snap(w);
-        started.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(BusyTracker {
-            active: u32::unsnap(r)?,
-            busy_since: Option::<SimTime>::unsnap(r)?,
-            busy_total: SimTime::unsnap(r)?,
-            started: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(BusyTracker { active, busy_since, busy_total, started });
 
 /// A recorded series of `(time, value)` samples, e.g. the per-second GPU
 /// utilization exported by DCGM.
@@ -327,17 +285,7 @@ impl TimeSeries {
     }
 }
 
-impl Snap for TimeSeries {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { points } = self;
-        points.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TimeSeries {
-            points: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(TimeSeries { points });
 
 #[cfg(test)]
 mod tests {

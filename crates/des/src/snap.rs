@@ -17,10 +17,25 @@
 //! * collections are length-prefixed (`u64`) and encoded in their own
 //!   deterministic iteration order;
 //! * there is no schema or tagging inside the stream — the layout *is*
-//!   the schema, which is why encode/decode implementations must
-//!   destructure their structs exhaustively (enforced by the
-//!   `exhaustive-snapshot-fields` lint rule: a newly added field that the
-//!   codec silently skips would corrupt every checkpoint).
+//!   the schema, so a field the codec silently skipped, or two fields
+//!   written in one order and read in another, would corrupt every
+//!   checkpoint.
+//!
+//! Most codecs are not written by hand. [`snap_struct!`](crate::snap_struct),
+//! [`snap_enum!`](crate::snap_enum) and [`snap_newtype!`](crate::snap_newtype)
+//! generate both directions of [`Snap`] from one list of a type's fields
+//! in wire order: the encoder destructures `Self` exhaustively and the
+//! decoder builds a struct literal, so a field missing from the list is a
+//! compile error on both sides and the order is written down once. Every
+//! field goes through its own [`Snap`] impl. A `check` runs on the decoded
+//! value, for types with invariants a corrupt buffer could violate.
+//!
+//! The codecs that stay hand-written are the primitives and containers
+//! below and the ones that need context the macros cannot express
+//! (decoders that take a shared model profile, rebuild a derived index,
+//! or restore a foreign RNG). They must destructure their structs
+//! exhaustively too; the `exhaustive-snapshot-fields` lint rule denies a
+//! `..` rest pattern in their bodies.
 //!
 //! Decoding is fallible and total: a truncated or corrupt buffer returns
 //! a [`SnapError`] naming the decode site, never a panic.
@@ -237,9 +252,11 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Reads a collection length prefix, bounds-checked against the bytes
-    /// actually remaining (each element takes at least one byte), so a
-    /// corrupt length cannot trigger an absurd pre-allocation.
+    /// Reads a collection length prefix (or a `usize` value, which shares
+    /// the encoding). The value is not bounded here: a collection decoder
+    /// caps its pre-allocation at `n.min(self.remaining())` itself (each
+    /// element takes at least one byte), so a corrupt length cannot
+    /// trigger an absurd allocation.
     pub fn len_prefix(&mut self) -> Result<usize, SnapError> {
         let n = self.u64()?;
         let n = usize::try_from(n).map_err(|_| SnapError::new("len"))?;
@@ -262,10 +279,14 @@ impl<'a> SnapReader<'a> {
 /// A type whose full state can be serialized into a [`SnapWriter`] and
 /// reconstructed, byte-exactly, from a [`SnapReader`].
 ///
-/// Implementations must destructure their struct exhaustively (no `..`
-/// rest patterns) so a newly added field fails to compile rather than
-/// being silently dropped from checkpoints — the `exhaustive-snapshot-
-/// fields` lint rule enforces this mechanically.
+/// Implement it with [`snap_struct!`](crate::snap_struct),
+/// [`snap_enum!`](crate::snap_enum) or [`snap_newtype!`](crate::snap_newtype)
+/// wherever the encoding is a field list: the macros destructure
+/// exhaustively by construction. A hand-written implementation must
+/// destructure its struct exhaustively too (no `..` rest patterns), so a
+/// newly added field fails to compile rather than being silently dropped
+/// from checkpoints — the `exhaustive-snapshot-fields` lint rule enforces
+/// this mechanically.
 pub trait Snap: Sized {
     /// Serializes `self` into `w`.
     fn snap(&self, w: &mut SnapWriter);
@@ -473,6 +494,22 @@ impl<T: Snap> Snap for Arc<T> {
     }
 }
 
+/// A fixed-size array: `N` elements back to back, with no length prefix.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn snap(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut out = Vec::with_capacity(N);
+        for _ in 0..N {
+            out.push(T::unsnap(r)?);
+        }
+        out.try_into().map_err(|_| SnapError::new("array"))
+    }
+}
+
 impl<A: Snap, B: Snap> Snap for (A, B) {
     fn snap(&self, w: &mut SnapWriter) {
         self.0.snap(w);
@@ -493,6 +530,141 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
         Ok((A::unsnap(r)?, B::unsnap(r)?, C::unsnap(r)?))
     }
 }
+
+/// Implements [`Snap`] for a struct from one list of its fields, in wire
+/// order:
+///
+/// ```ignore
+/// snap_struct!(Pod { id, func, node, state });
+/// snap_struct!(GpuDevice { spec, free_sms, ff } skip { ff_pool });
+/// snap_struct!(Estimator { alpha, mean }, check = |e: &Estimator| {
+///     if e.alpha > 0.0 { Ok(()) } else { Err(SnapError::new("estimator alpha")) }
+/// });
+/// ```
+///
+/// The encoder destructures `Self` exhaustively and writes each listed
+/// field through its [`Snap`] impl; the decoder reads them back in the
+/// same order into a struct literal. A field that is neither listed nor
+/// under `skip` is therefore a compile error on both sides. `skip` names
+/// pure caches that are not encoded and decode to `Default::default()`.
+/// `check` is a non-capturing closure `|v: &T| -> Result<(), SnapError>`
+/// run on the decoded value.
+#[macro_export]
+macro_rules! snap_struct {
+    (
+        $t:ident { $($f:ident),* $(,)? }
+        $(skip { $($s:ident),* $(,)? })?
+        $(, check = $check:expr)? $(,)?
+    ) => {
+        impl $crate::snap::Snap for $t {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                let $t { $($f,)* $($($s: _,)*)? } = self;
+                $($crate::snap::Snap::snap($f, w);)*
+            }
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                $(let $f = $crate::snap::Snap::unsnap(r)?;)*
+                let value = $t {
+                    $($f,)*
+                    $($($s: ::core::default::Default::default(),)*)?
+                };
+                $(
+                    let check: fn(&$t) -> ::core::result::Result<(), $crate::snap::SnapError> =
+                        $check;
+                    check(&value)?;
+                )?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for an enum as a `u8` tag followed by the
+/// variant's fields in the order listed:
+///
+/// ```ignore
+/// snap_enum!(Phase, "phase tag" {
+///     0 => Idle,
+///     1 => Busy(pod, since),
+///     2 => Draining { pod, until },
+/// });
+/// ```
+///
+/// Encoding matches every listed variant, so a variant missing from the
+/// list is a compile error. A tag the list does not name decodes to
+/// `SnapError::new(what)`. An optional `check = |v: &T| ...` runs on the
+/// decoded value, as in [`snap_struct!`](crate::snap_struct).
+#[macro_export]
+macro_rules! snap_enum {
+    (
+        $t:ident, $what:literal {
+            $(
+                $tag:literal => $v:ident
+                $(( $($tf:ident),* $(,)? ))?
+                $({ $($nf:ident),* $(,)? })?
+            ),* $(,)?
+        }
+        $(, check = $check:expr)? $(,)?
+    ) => {
+        impl $crate::snap::Snap for $t {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(
+                        $t::$v $(($($tf),*))? $({ $($nf),* })? => {
+                            w.u8($tag);
+                            $($($crate::snap::Snap::snap($tf, w);)*)?
+                            $($($crate::snap::Snap::snap($nf, w);)*)?
+                        }
+                    )*
+                }
+            }
+            fn unsnap(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                let value = match r.u8()? {
+                    $(
+                        $tag => {
+                            $($(let $tf = $crate::snap::Snap::unsnap(r)?;)*)?
+                            $($(let $nf = $crate::snap::Snap::unsnap(r)?;)*)?
+                            $t::$v $(($($tf),*))? $({ $($nf),* })?
+                        }
+                    )*
+                    _ => return Err($crate::snap::SnapError::new($what)),
+                };
+                $(
+                    let check: fn(&$t) -> ::core::result::Result<(), $crate::snap::SnapError> =
+                        $check;
+                    check(&value)?;
+                )?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for single-field tuple structs, encoded exactly as
+/// their inner value: `snap_newtype!(NodeId, PodId);`.
+#[macro_export]
+macro_rules! snap_newtype {
+    ($($t:ident),+ $(,)?) => {
+        $(
+            impl $crate::snap::Snap for $t {
+                fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                    let $t(inner) = self;
+                    $crate::snap::Snap::snap(inner, w);
+                }
+                fn unsnap(
+                    r: &mut $crate::snap::SnapReader<'_>,
+                ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                    Ok($t($crate::snap::Snap::unsnap(r)?))
+                }
+            }
+        )+
+    };
+}
+
+pub use crate::{snap_enum, snap_newtype, snap_struct};
 
 #[cfg(test)]
 mod tests {
@@ -592,6 +764,90 @@ mod tests {
         assert!(r.expect_done().is_err());
         let _ = u8::unsnap(&mut r).expect("second");
         assert!(r.expect_done().is_ok());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Sample {
+        id: u32,
+        at: SimTime,
+        w: Vec<u64>,
+        cache: Vec<u8>,
+    }
+    snap_struct!(Sample { at, id, w } skip { cache }, check = |s: &Sample| {
+        if s.w.len() <= 3 {
+            Ok(())
+        } else {
+            Err(SnapError::new("sample width"))
+        }
+    });
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Empty,
+        Pair(u8, f64),
+        Named { n: usize, tag: Option<u16> },
+    }
+    snap_enum!(Shape, "shape tag" {
+        0 => Empty,
+        1 => Pair(a, b),
+        2 => Named { tag, n },
+    });
+
+    #[derive(Debug, PartialEq)]
+    struct Wrapped(u64);
+    snap_newtype!(Wrapped);
+
+    fn encode<T: Snap>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn macro_codecs_write_fields_in_list_order() {
+        let v = Sample {
+            id: 7,
+            at: SimTime::from_micros(9),
+            w: vec![1, 2],
+            cache: vec![5],
+        };
+        let mut w = SnapWriter::new();
+        w.u64(9);
+        w.u32(7);
+        w.len_prefix(2);
+        w.u64(1);
+        w.u64(2);
+        assert_eq!(encode(&v), w.finish());
+        let back = Sample::unsnap(&mut SnapReader::new(&encode(&v))).expect("decode");
+        assert_eq!(back, Sample { cache: Vec::new(), ..v });
+
+        let mut w = SnapWriter::new();
+        w.u8(2);
+        w.u8(1);
+        w.u16(4);
+        w.len_prefix(3);
+        let named = Shape::Named { n: 3, tag: Some(4) };
+        assert_eq!(encode(&named), w.finish());
+        assert_eq!(encode(&Wrapped(5)), 5u64.to_le_bytes());
+        for v in [Shape::Empty, Shape::Pair(3, 0.5), named] {
+            round_trip(&v);
+        }
+        round_trip(&Wrapped(u64::MAX));
+        round_trip(&[vec![1u32], vec![], vec![2, 3]]);
+    }
+
+    #[test]
+    fn macro_codecs_reject_bad_tags_and_failed_checks() {
+        let err = Shape::unsnap(&mut SnapReader::new(&[3])).unwrap_err();
+        assert_eq!(err.what, "shape tag");
+        let wide = Sample {
+            id: 0,
+            at: SimTime::ZERO,
+            w: vec![0; 4],
+            cache: Vec::new(),
+        };
+        let err = Sample::unsnap(&mut SnapReader::new(&encode(&wide))).unwrap_err();
+        assert_eq!(err.what, "sample width");
     }
 
     #[test]

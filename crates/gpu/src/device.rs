@@ -29,7 +29,7 @@ use crate::memory::GpuMemory;
 use crate::metrics::GpuMetrics;
 use crate::mps::{MpsError, MpsMode, MpsServer};
 use crate::spec::GpuSpec;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_newtype, snap_struct, SnapError};
 use fastg_des::{sanitizer, SimTime};
 use std::collections::VecDeque;
 
@@ -928,217 +928,62 @@ impl GpuDevice {
     }
 }
 
-impl Snap for KernelId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let KernelId(raw) = self;
-        w.u64(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(KernelId(r.u64()?))
-    }
-}
+snap_newtype!(KernelId);
 
-impl Snap for KernelDesc {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            blocks,
-            work_per_block,
-            tag,
-        } = self;
-        w.u32(*blocks);
-        work_per_block.snap(w);
-        w.u64(*tag);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(KernelDesc {
-            blocks: r.u32()?,
-            work_per_block: SimTime::unsnap(r)?,
-            tag: r.u64()?,
-        })
-    }
-}
+snap_struct!(KernelDesc { blocks, work_per_block, tag });
 
-impl Snap for Running {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            client,
-            tag,
-            granted,
-            started,
-        } = self;
-        client.snap(w);
-        w.u64(*tag);
-        w.u32(*granted);
-        started.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Running {
-            client: ClientId::unsnap(r)?,
-            tag: r.u64()?,
-            granted: r.u32()?,
-            started: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Running { client, tag, granted, started });
 
-impl Snap for FfKernel {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            desc,
-            start,
-            finish,
-            granted,
-        } = self;
-        desc.snap(w);
-        start.snap(w);
-        finish.snap(w);
-        w.u32(*granted);
+snap_struct!(FfKernel { desc, start, finish, granted }, check = |k: &FfKernel| {
+    if k.finish < k.start {
+        return Err(SnapError::new("ff kernel interval"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let desc = KernelDesc::unsnap(r)?;
-        let start = SimTime::unsnap(r)?;
-        let finish = SimTime::unsnap(r)?;
-        if finish < start {
-            return Err(SnapError::new("ff kernel interval"));
-        }
-        Ok(FfKernel {
-            desc,
-            start,
-            finish,
-            granted: r.u32()?,
-        })
-    }
-}
+    Ok(())
+});
 
-impl Snap for FfTimeline {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            client,
-            resident,
-            rest,
-            completed,
-            served,
-            tallied,
-            tallied_served,
-        } = self;
-        client.snap(w);
-        resident.snap(w);
-        rest.snap(w);
-        w.u64(*completed);
-        served.snap(w);
-        w.u64(*tallied);
-        tallied_served.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let client = ClientId::unsnap(r)?;
-        let resident = FfKernel::unsnap(r)?;
-        let rest: VecDeque<FfKernel> = VecDeque::unsnap(r)?;
-        let completed = r.u64()?;
-        let served = SimTime::unsnap(r)?;
-        let tallied = r.u64()?;
-        let tallied_served = SimTime::unsnap(r)?;
-        if tallied > completed || tallied_served > served {
+snap_struct!(
+    FfTimeline { client, resident, rest, completed, served, tallied, tallied_served },
+    check = |t: &FfTimeline| {
+        if t.tallied > t.completed || t.tallied_served > t.served {
             return Err(SnapError::new("ff tally prefix"));
         }
-        Ok(FfTimeline {
-            client,
-            resident,
-            rest,
-            completed,
-            served,
-            tallied,
-            tallied_served,
-        })
+        Ok(())
     }
-}
+);
 
-impl Snap for ClientStream {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            queued,
-            running,
-            waiting,
-        } = self;
-        queued.snap(w);
-        running.snap(w);
-        w.bool(*waiting);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClientStream {
-            queued: VecDeque::unsnap(r)?,
-            running: Option::unsnap(r)?,
-            waiting: r.bool()?,
-        })
-    }
-}
+snap_struct!(ClientStream { queued, running, waiting });
 
-impl Snap for GpuDevice {
-    /// Captures the complete behavioral state of the device. The recycled
-    /// timeline buffers (`ff_pool`) are a pure allocation cache and restore
-    /// empty.
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            spec,
-            mps,
-            memory,
-            metrics,
-            free_sms,
-            streams,
-            running,
-            wait_queue,
-            next_kernel,
-            clock_scale,
-            ff,
-            ff_pool: _,
-        } = self;
-        spec.snap(w);
-        mps.snap(w);
-        memory.snap(w);
-        metrics.snap(w);
-        w.u32(*free_sms);
-        streams.snap(w);
-        running.snap(w);
-        wait_queue.snap(w);
-        w.u64(*next_kernel);
-        clock_scale.snap(w);
-        ff.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let spec = GpuSpec::unsnap(r)?;
-        let mps = MpsServer::unsnap(r)?;
-        let memory = GpuMemory::unsnap(r)?;
-        let metrics = GpuMetrics::unsnap(r)?;
-        let free_sms = r.u32()?;
-        if free_sms > spec.sm_count {
+// The recycled timeline buffers (`ff_pool`) are a pure allocation cache
+// and restore empty.
+snap_struct!(
+    GpuDevice {
+        spec,
+        mps,
+        memory,
+        metrics,
+        free_sms,
+        streams,
+        running,
+        wait_queue,
+        next_kernel,
+        clock_scale,
+        ff,
+    } skip { ff_pool },
+    check = |gpu: &GpuDevice| {
+        if gpu.free_sms > gpu.spec.sm_count {
             return Err(SnapError::new("gpu free sms"));
         }
-        let streams: Vec<(ClientId, ClientStream)> = Vec::unsnap(r)?;
-        let running: Vec<(KernelId, Running)> = Vec::unsnap(r)?;
-        let wait_queue: VecDeque<ClientId> = VecDeque::unsnap(r)?;
-        let next_kernel = r.u64()?;
-        if running.iter().any(|(id, _)| id.0 >= next_kernel) {
+        if gpu.running.iter().any(|(id, _)| id.0 >= gpu.next_kernel) {
             return Err(SnapError::new("gpu kernel id space"));
         }
-        Ok(GpuDevice {
-            spec,
-            mps,
-            memory,
-            metrics,
-            free_sms,
-            streams,
-            running,
-            wait_queue,
-            next_kernel,
-            clock_scale: f64::unsnap(r)?,
-            ff: Vec::unsnap(r)?,
-            ff_pool: Vec::new(),
-        })
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastg_des::snap::{Snap, SnapReader, SnapWriter};
 
     fn v100() -> GpuDevice {
         GpuDevice::new(GpuSpec::v100(), MpsMode::Shared)

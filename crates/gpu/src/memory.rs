@@ -7,7 +7,7 @@
 //! study fragmentation and capacity questions (e.g. "how many ResNeXt pods
 //! fit in 16 GB?").
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_newtype, snap_struct, SnapError};
 use std::collections::BTreeMap;
 
 /// A device pointer: base offset and length of a live allocation.
@@ -190,67 +190,24 @@ impl GpuMemory {
     }
 }
 
-impl Snap for DevicePtr {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { offset, len } = self;
-        w.u64(*offset);
-        w.u64(*len);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DevicePtr {
-            offset: r.u64()?,
-            len: r.u64()?,
-        })
-    }
-}
+snap_struct!(DevicePtr { offset, len });
 
-impl Snap for IpcHandle {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self(raw) = self;
-        w.u64(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(IpcHandle(r.u64()?))
-    }
-}
+snap_newtype!(IpcHandle);
 
-impl Snap for GpuMemory {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            capacity,
-            free,
-            live,
-            handles,
-            next_handle,
-        } = self;
-        w.u64(*capacity);
-        free.snap(w);
-        live.snap(w);
-        handles.snap(w);
-        w.u64(*next_handle);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let capacity = r.u64()?;
-        let free: BTreeMap<u64, u64> = BTreeMap::unsnap(r)?;
-        let live: BTreeMap<u64, u64> = BTreeMap::unsnap(r)?;
-        let handles: BTreeMap<u64, DevicePtr> = BTreeMap::unsnap(r)?;
-        let next_handle = r.u64()?;
-        let accounted = live
+snap_struct!(
+    GpuMemory { capacity, free, live, handles, next_handle },
+    check = |m: &GpuMemory| {
+        let accounted = m
+            .live
             .values()
-            .chain(free.values())
+            .chain(m.free.values())
             .try_fold(0u64, |acc, &len| acc.checked_add(len));
-        if accounted != Some(capacity) {
+        if accounted != Some(m.capacity) {
             return Err(SnapError::new("gpu memory accounting"));
         }
-        Ok(GpuMemory {
-            capacity,
-            free,
-            live,
-            handles,
-            next_handle,
-        })
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //!   resident kernels.
 
 use crate::device::ClientId;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_struct, SnapError};
 use fastg_des::{BusyTracker, SimTime, TimeSeries, TimeWeighted};
 use std::collections::BTreeMap;
 
@@ -115,47 +115,14 @@ impl CycleProfile {
     }
 }
 
-impl Snap for ProfilePoint {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            at,
-            busy,
-            occ_raw,
-            busy_on,
-            occupied,
-        } = self;
-        at.snap(w);
-        busy.snap(w);
-        w.f64(*occ_raw);
-        w.bool(*busy_on);
-        w.f64(*occupied);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ProfilePoint {
-            at: SimTime::unsnap(r)?,
-            busy: SimTime::unsnap(r)?,
-            occ_raw: r.f64()?,
-            busy_on: r.bool()?,
-            occupied: r.f64()?,
-        })
-    }
-}
+snap_struct!(ProfilePoint { at, busy, occ_raw, busy_on, occupied });
 
-impl Snap for CycleProfile {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { points } = self;
-        points.snap(w);
+snap_struct!(CycleProfile { points }, check = |profile: &CycleProfile| {
+    if !profile.well_formed() {
+        return Err(SnapError::new("cycle profile"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let profile = CycleProfile {
-            points: Vec::unsnap(r)?,
-        };
-        if !profile.well_formed() {
-            return Err(SnapError::new("cycle profile"));
-        }
-        Ok(profile)
-    }
-}
+    Ok(())
+});
 
 /// Live metric accounting for one GPU.
 #[derive(Debug, Clone)]
@@ -402,45 +369,19 @@ impl GpuMetrics {
     }
 }
 
-impl Snap for GpuMetrics {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            sm_count,
-            util,
-            occupied_sms,
-            kernels_completed,
-            window_kernels,
-            per_client_busy,
-            util_series,
-            occ_series,
-            window_start,
-            recording: _,
-        } = self;
-        w.u32(*sm_count);
-        util.snap(w);
-        occupied_sms.snap(w);
-        w.u64(*kernels_completed);
-        w.u64(*window_kernels);
-        per_client_busy.snap(w);
-        util_series.snap(w);
-        occ_series.snap(w);
-        window_start.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(GpuMetrics {
-            sm_count: r.u32()?,
-            util: BusyTracker::unsnap(r)?,
-            occupied_sms: TimeWeighted::unsnap(r)?,
-            kernels_completed: r.u64()?,
-            window_kernels: r.u64()?,
-            per_client_busy: BTreeMap::unsnap(r)?,
-            util_series: TimeSeries::unsnap(r)?,
-            occ_series: TimeSeries::unsnap(r)?,
-            window_start: SimTime::unsnap(r)?,
-            recording: None,
-        })
-    }
-}
+// The profile recording of an armed node is not part of the device's own
+// snapshot: the engine writes it after its phase table and reinstalls it.
+snap_struct!(GpuMetrics {
+    sm_count,
+    util,
+    occupied_sms,
+    kernels_completed,
+    window_kernels,
+    per_client_busy,
+    util_series,
+    occ_series,
+    window_start,
+} skip { recording });
 
 #[cfg(test)]
 mod tests {

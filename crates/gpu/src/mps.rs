@@ -8,7 +8,7 @@
 //! ([`crate::GpuDevice`]) enforces.
 
 use crate::spec::GpuSpec;
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_enum, snap_newtype, snap_struct, SnapError};
 use std::collections::BTreeMap;
 
 /// Identifies an MPS client (one function-instance container / pod).
@@ -206,75 +206,24 @@ impl MpsServer {
     }
 }
 
-impl Snap for ClientId {
-    fn snap(&self, w: &mut SnapWriter) {
-        let ClientId(raw) = self;
-        w.u32(*raw);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClientId(r.u32()?))
-    }
-}
+snap_newtype!(ClientId);
 
-impl Snap for MpsMode {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            MpsMode::Shared => w.u8(0),
-            MpsMode::Exclusive => w.u8(1),
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(MpsMode::Shared),
-            1 => Ok(MpsMode::Exclusive),
-            _ => Err(SnapError::new("mps mode tag")),
-        }
-    }
-}
+snap_enum!(MpsMode, "mps mode tag" {
+    0 => Shared,
+    1 => Exclusive,
+});
 
-impl Snap for ClientEntry {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { percentage, sm_cap } = self;
-        percentage.snap(w);
-        w.u32(*sm_cap);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ClientEntry {
-            percentage: f64::unsnap(r)?,
-            sm_cap: r.u32()?,
-        })
-    }
-}
+snap_struct!(ClientEntry { percentage, sm_cap });
 
-impl Snap for MpsServer {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            mode,
-            sm_count,
-            clients,
-            next_id,
-        } = self;
-        mode.snap(w);
-        w.u32(*sm_count);
-        clients.snap(w);
-        w.u32(*next_id);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mode = MpsMode::unsnap(r)?;
-        let sm_count = r.u32()?;
-        let clients: BTreeMap<ClientId, ClientEntry> = BTreeMap::unsnap(r)?;
-        let next_id = r.u32()?;
-        if clients.keys().any(|c| c.0 >= next_id) {
+snap_struct!(
+    MpsServer { mode, sm_count, clients, next_id },
+    check = |mps: &MpsServer| {
+        if mps.clients.keys().any(|c| c.0 >= mps.next_id) {
             return Err(SnapError::new("mps client id space"));
         }
-        Ok(MpsServer {
-            mode,
-            sm_count,
-            clients,
-            next_id,
-        })
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {

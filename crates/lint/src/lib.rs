@@ -57,7 +57,11 @@
 //!   variants): a rest pattern is exactly how a newly added state field
 //!   silently skips serialization, so the codec destructures every
 //!   struct exhaustively and a new field becomes a compile error, not a
-//!   checkpoint that restores to a different simulation.
+//!   checkpoint that restores to a different simulation. Field-list
+//!   codecs generated by `snap_struct!`/`snap_enum!`/`snap_newtype!` are
+//!   exhaustive by construction; the rule guards the codecs that stay
+//!   hand-written (primitives, containers and context-carrying
+//!   `snap_state`/`_with`/`_cursor` bodies).
 //!
 //! Diagnostics carry `file:line:col` positions. Existing violations are
 //! allowlisted per-rule-per-file in a checked-in baseline
@@ -684,6 +688,9 @@ fn is_snapshot_fn(name: &[u8]) -> bool {
 /// newly added field fails to compile until it is wired onto the wire.
 /// A rest pattern defeats exactly that: the new field silently skips
 /// serialization and the checkpoint restores to a different simulation.
+/// Macro-generated codecs (`snap_struct!` and friends) have no `fn snap`
+/// body in their source and are exhaustive by construction; this rule
+/// covers the hand-written ones.
 ///
 /// Only genuine rest patterns are flagged (`..` preceded by `{`, `(` or
 /// `,` and followed by `}` or `)`); ranges (`0..n`), slice indexing

@@ -1,6 +1,6 @@
 //! Log-bucket latency histogram (HdrHistogram-style, simplified).
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_struct, SnapError};
 use fastg_des::SimTime;
 
 /// Per-bucket growth factor: ~5 % relative quantile error.
@@ -159,39 +159,18 @@ impl LatencyHistogram {
     }
 }
 
-impl Snap for LatencyHistogram {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            counts,
-            count,
-            sum_us,
-            min,
-            max,
-        } = self;
-        counts.snap(w);
-        w.u64(*count);
-        w.u128(*sum_us);
-        min.snap(w);
-        max.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let counts: Vec<u64> = Vec::unsnap(r)?;
-        if counts.len() != BUCKETS {
+snap_struct!(
+    LatencyHistogram { counts, count, sum_us, min, max },
+    check = |h: &LatencyHistogram| {
+        if h.counts.len() != BUCKETS {
             return Err(SnapError::new("histogram bucket count"));
         }
-        let count = r.u64()?;
-        if counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c)) != Some(count) {
+        if h.counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c)) != Some(h.count) {
             return Err(SnapError::new("histogram total"));
         }
-        Ok(LatencyHistogram {
-            counts,
-            count,
-            sum_us: r.u128()?,
-            min: Option::unsnap(r)?,
-            max: SimTime::unsnap(r)?,
-        })
+        Ok(())
     }
-}
+);
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Throughput measurement and arrival-rate prediction.
 
-use fastg_des::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{snap_struct, SnapError};
 use fastg_des::SimTime;
 use std::collections::VecDeque;
 
@@ -141,68 +141,17 @@ impl RateMeter {
     }
 }
 
-impl Snap for Run {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            start_us,
-            gap_us,
-            count,
-        } = self;
-        w.u64(*start_us);
-        w.u64(*gap_us);
-        w.u64(*count);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Run {
-            start_us: r.u64()?,
-            gap_us: r.u64()?,
-            count: r.u64()?,
-        })
-    }
-}
+snap_struct!(Run { start_us, gap_us, count });
 
-impl Snap for RateMeter {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self { runs, total } = self;
-        runs.snap(w);
-        w.u64(*total);
+snap_struct!(RateMeter { runs, total }, check = |m: &RateMeter| {
+    let sum = m.runs.iter().try_fold(0u64, |acc, run| acc.checked_add(run.count));
+    if sum != Some(m.total) {
+        return Err(SnapError::new("rate meter total"));
     }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let runs: Vec<Run> = Vec::unsnap(r)?;
-        let total = r.u64()?;
-        let sum = runs.iter().try_fold(0u64, |acc, run| acc.checked_add(run.count));
-        if sum != Some(total) {
-            return Err(SnapError::new("rate meter total"));
-        }
-        Ok(RateMeter { runs, total })
-    }
-}
+    Ok(())
+});
 
-impl Snap for RateEstimator {
-    fn snap(&self, w: &mut SnapWriter) {
-        let Self {
-            window,
-            alpha,
-            recent,
-            smoothed,
-            last_update,
-        } = self;
-        window.snap(w);
-        alpha.snap(w);
-        recent.snap(w);
-        smoothed.snap(w);
-        last_update.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RateEstimator {
-            window: SimTime::unsnap(r)?,
-            alpha: f64::unsnap(r)?,
-            recent: VecDeque::unsnap(r)?,
-            smoothed: Option::unsnap(r)?,
-            last_update: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(RateEstimator { window, alpha, recent, smoothed, last_update });
 
 /// Predicts the near-future request rate from recent arrivals — the
 /// gateway-side signal `R_j` the Heuristic Scaling Algorithm consumes.
