@@ -3,7 +3,9 @@
 use std::collections::BTreeMap;
 
 use crate::spec::{FuncId, ResourceSpec};
-use fastg_des::snap::{snap_enum, snap_newtype, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
+use fastg_des::snap::{
+    snap_enum, snap_newtype, snap_struct, Snap, SnapError, SnapReader, SnapWriter,
+};
 use fastg_des::{ArenaKey, IdArena, SimTime};
 use fastg_gpu::{ClientId, DevicePtr, GpuDevice, GpuSpec, MpsMode};
 
@@ -514,7 +516,12 @@ snap_enum!(NodeState, "node state tag" {
     2 => Down,
 });
 
-snap_struct!(Node { id, name, gpu, state });
+snap_struct!(Node {
+    id,
+    name,
+    gpu,
+    state
+});
 
 snap_struct!(Pod {
     id,

@@ -441,7 +441,12 @@ impl Gateway {
 
 snap_newtype!(RequestId);
 
-snap_struct!(Request { id, func, arrived, deadline });
+snap_struct!(Request {
+    id,
+    func,
+    arrived,
+    deadline
+});
 
 snap_struct!(
     FuncState {
@@ -465,7 +470,10 @@ snap_struct!(
     }
 );
 
-snap_struct!(Gateway { funcs, next_request });
+snap_struct!(Gateway {
+    funcs,
+    next_request
+});
 
 #[cfg(test)]
 mod tests {

@@ -108,7 +108,12 @@ impl ResourceSpec {
 
 snap_newtype!(FuncId);
 
-snap_struct!(ResourceSpec { sm_partition, quota_limit, quota_request, gpu_mem });
+snap_struct!(ResourceSpec {
+    sm_partition,
+    quota_limit,
+    quota_request,
+    gpu_mem
+});
 
 snap_struct!(FaSTFuncSpec { name, model, slo });
 

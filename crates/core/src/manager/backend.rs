@@ -813,7 +813,11 @@ snap_enum!(PodClass, "pod class tag" {
     1 => BestEffort,
 });
 
-snap_struct!(Lease { expires, epoch, share });
+snap_struct!(Lease {
+    expires,
+    epoch,
+    share
+});
 
 snap_struct!(
     PodEntry {
@@ -838,15 +842,23 @@ snap_struct!(
     }
 );
 
-snap_struct!(PodTable { rows }, check = |table: &PodTable| {
-    if table.rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
-        return Err(SnapError::new("backend row order"));
+snap_struct!(
+    PodTable { rows },
+    check = |table: &PodTable| {
+        if table.rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(SnapError::new("backend row order"));
+        }
+        Ok(())
     }
-    Ok(())
-});
+);
 
 snap_struct!(
-    FastBackend { cfg, pods, sm_running, tokens_dispatched },
+    FastBackend {
+        cfg,
+        pods,
+        sm_running,
+        tokens_dispatched
+    },
     check = |backend: &FastBackend| {
         if !(backend.sm_running.is_finite() && backend.sm_running >= 0.0) {
             return Err(SnapError::new("backend sm accounting"));

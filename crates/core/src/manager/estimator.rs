@@ -78,7 +78,12 @@ impl BurstEstimator {
 }
 
 snap_struct!(
-    BurstEstimator { alpha, mean_us, dev_us, observations },
+    BurstEstimator {
+        alpha,
+        mean_us,
+        dev_us,
+        observations
+    },
     check = |e: &BurstEstimator| {
         if !(e.alpha.is_finite() && e.alpha > 0.0 && e.alpha <= 1.0) {
             return Err(SnapError::new("estimator alpha"));

@@ -236,19 +236,25 @@ impl ModelStorageServer {
     }
 }
 
-snap_struct!(StoredTensor { ptr, ipc, refs }, check = |t: &StoredTensor| {
-    if t.refs == 0 {
-        // A zero-ref tensor is freed eagerly by `release`; it can never
-        // appear in a live server.
-        return Err(SnapError::new("model store zero-ref tensor"));
+snap_struct!(
+    StoredTensor { ptr, ipc, refs },
+    check = |t: &StoredTensor| {
+        if t.refs == 0 {
+            // A zero-ref tensor is freed eagerly by `release`; it can never
+            // appear in a live server.
+            return Err(SnapError::new("model store zero-ref tensor"));
+        }
+        Ok(())
     }
-    Ok(())
-});
+);
 
 snap_struct!(ModelEntry { ctx, tensors });
 
 snap_struct!(
-    ModelStorageServer { ctx_overhead, models },
+    ModelStorageServer {
+        ctx_overhead,
+        models
+    },
     check = |server: &ModelStorageServer| {
         // `gc_model` removes a model the moment its last tensor is
         // released, so every entry holds at least one tensor.

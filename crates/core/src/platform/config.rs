@@ -518,7 +518,14 @@ impl FunctionConfig {
 }
 
 snap_struct!(
-    FunctionConfig { name, model, slo, replicas, resources, saturate },
+    FunctionConfig {
+        name,
+        model,
+        slo,
+        replicas,
+        resources,
+        saturate
+    },
     check = |fc: &FunctionConfig| {
         let (sm, request, limit) = fc.resources;
         if !(sm.is_finite() && request.is_finite() && limit.is_finite()) {

@@ -3517,7 +3517,11 @@ mod tests {
                 recording as fn(&Engine) -> bool,
                 0xaeac_5858_37b3_bd4f,
             ),
-            (SimTime::from_micros(1_500_001), sampled, 0x961c_3d79_dc06_3abc),
+            (
+                SimTime::from_micros(1_500_001),
+                sampled,
+                0x961c_3d79_dc06_3abc,
+            ),
         ] {
             let mut p = fleet();
             p.sim.run_until(split);

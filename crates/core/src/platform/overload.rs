@@ -483,8 +483,8 @@ snap_struct!(
         browned,
     },
     check = |b: &CircuitBreaker| {
-        let probe_count = u64::try_from(b.probe_ids.len())
-            .map_err(|_| SnapError::new("breaker probe count"))?;
+        let probe_count =
+            u64::try_from(b.probe_ids.len()).map_err(|_| SnapError::new("breaker probe count"))?;
         if probe_count > b.probes_admitted {
             return Err(SnapError::new("breaker probe accounting"));
         }

@@ -200,9 +200,18 @@ impl ProfileDb {
     }
 }
 
-snap_struct!(ProfileKey { sm_centi, quota_centi });
+snap_struct!(ProfileKey {
+    sm_centi,
+    quota_centi
+});
 
-snap_struct!(ProfileRecord { rps, p50, p99, utilization, sm_occupancy });
+snap_struct!(ProfileRecord {
+    rps,
+    p50,
+    p99,
+    utilization,
+    sm_occupancy
+});
 
 snap_struct!(ProfileDb { records });
 

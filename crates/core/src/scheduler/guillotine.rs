@@ -681,7 +681,11 @@ snap_enum!(SlotState, "slot state tag" {
     2 => Used { pod },
 });
 
-snap_struct!(Slot { rect, generation, state });
+snap_struct!(Slot {
+    rect,
+    generation,
+    state
+});
 
 impl GuillotineAlloc {
     /// Cross-checks a decoded allocator: positive geometry, slot indices

@@ -117,7 +117,12 @@ impl TimeWeighted {
     }
 }
 
-snap_struct!(TimeWeighted { value, last_change, integral_us, started });
+snap_struct!(TimeWeighted {
+    value,
+    last_change,
+    integral_us,
+    started
+});
 
 /// Tracks intervals during which a resource is busy (value > 0).
 ///
@@ -216,7 +221,12 @@ impl BusyTracker {
     }
 }
 
-snap_struct!(BusyTracker { active, busy_since, busy_total, started });
+snap_struct!(BusyTracker {
+    active,
+    busy_since,
+    busy_total,
+    started
+});
 
 /// A recorded series of `(time, value)` samples, e.g. the per-second GPU
 /// utilization exported by DCGM.

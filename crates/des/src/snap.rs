@@ -819,7 +819,13 @@ mod tests {
         w.u64(2);
         assert_eq!(encode(&v), w.finish());
         let back = Sample::unsnap(&mut SnapReader::new(&encode(&v))).expect("decode");
-        assert_eq!(back, Sample { cache: Vec::new(), ..v });
+        assert_eq!(
+            back,
+            Sample {
+                cache: Vec::new(),
+                ..v
+            }
+        );
 
         let mut w = SnapWriter::new();
         w.u8(2);

@@ -930,19 +930,44 @@ impl GpuDevice {
 
 snap_newtype!(KernelId);
 
-snap_struct!(KernelDesc { blocks, work_per_block, tag });
+snap_struct!(KernelDesc {
+    blocks,
+    work_per_block,
+    tag
+});
 
-snap_struct!(Running { client, tag, granted, started });
-
-snap_struct!(FfKernel { desc, start, finish, granted }, check = |k: &FfKernel| {
-    if k.finish < k.start {
-        return Err(SnapError::new("ff kernel interval"));
-    }
-    Ok(())
+snap_struct!(Running {
+    client,
+    tag,
+    granted,
+    started
 });
 
 snap_struct!(
-    FfTimeline { client, resident, rest, completed, served, tallied, tallied_served },
+    FfKernel {
+        desc,
+        start,
+        finish,
+        granted
+    },
+    check = |k: &FfKernel| {
+        if k.finish < k.start {
+            return Err(SnapError::new("ff kernel interval"));
+        }
+        Ok(())
+    }
+);
+
+snap_struct!(
+    FfTimeline {
+        client,
+        resident,
+        rest,
+        completed,
+        served,
+        tallied,
+        tallied_served
+    },
     check = |t: &FfTimeline| {
         if t.tallied > t.completed || t.tallied_served > t.served {
             return Err(SnapError::new("ff tally prefix"));
@@ -951,7 +976,11 @@ snap_struct!(
     }
 );
 
-snap_struct!(ClientStream { queued, running, waiting });
+snap_struct!(ClientStream {
+    queued,
+    running,
+    waiting
+});
 
 // The recycled timeline buffers (`ff_pool`) are a pure allocation cache
 // and restore empty.

@@ -195,7 +195,13 @@ snap_struct!(DevicePtr { offset, len });
 snap_newtype!(IpcHandle);
 
 snap_struct!(
-    GpuMemory { capacity, free, live, handles, next_handle },
+    GpuMemory {
+        capacity,
+        free,
+        live,
+        handles,
+        next_handle
+    },
     check = |m: &GpuMemory| {
         let accounted = m
             .live

@@ -115,14 +115,23 @@ impl CycleProfile {
     }
 }
 
-snap_struct!(ProfilePoint { at, busy, occ_raw, busy_on, occupied });
-
-snap_struct!(CycleProfile { points }, check = |profile: &CycleProfile| {
-    if !profile.well_formed() {
-        return Err(SnapError::new("cycle profile"));
-    }
-    Ok(())
+snap_struct!(ProfilePoint {
+    at,
+    busy,
+    occ_raw,
+    busy_on,
+    occupied
 });
+
+snap_struct!(
+    CycleProfile { points },
+    check = |profile: &CycleProfile| {
+        if !profile.well_formed() {
+            return Err(SnapError::new("cycle profile"));
+        }
+        Ok(())
+    }
+);
 
 /// Live metric accounting for one GPU.
 #[derive(Debug, Clone)]

@@ -216,7 +216,12 @@ snap_enum!(MpsMode, "mps mode tag" {
 snap_struct!(ClientEntry { percentage, sm_cap });
 
 snap_struct!(
-    MpsServer { mode, sm_count, clients, next_id },
+    MpsServer {
+        mode,
+        sm_count,
+        clients,
+        next_id
+    },
     check = |mps: &MpsServer| {
         if mps.clients.keys().any(|c| c.0 >= mps.next_id) {
             return Err(SnapError::new("mps client id space"));

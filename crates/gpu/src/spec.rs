@@ -75,12 +75,19 @@ impl GpuSpec {
     }
 }
 
-snap_struct!(GpuSpec { name, sm_count, memory_bytes }, check = |spec: &GpuSpec| {
-    if spec.sm_count == 0 {
-        return Err(SnapError::new("gpu spec sm count"));
+snap_struct!(
+    GpuSpec {
+        name,
+        sm_count,
+        memory_bytes
+    },
+    check = |spec: &GpuSpec| {
+        if spec.sm_count == 0 {
+            return Err(SnapError::new("gpu spec sm count"));
+        }
+        Ok(())
     }
-    Ok(())
-});
+);
 
 /// One gibibyte, in bytes.
 pub const GIB: u64 = 1024 * 1024 * 1024;

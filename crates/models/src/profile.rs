@@ -168,13 +168,23 @@ impl ModelProfile {
     }
 }
 
-snap_struct!(KernelSpec { blocks, work_per_block });
+snap_struct!(KernelSpec {
+    blocks,
+    work_per_block
+});
 
 snap_struct!(Stage { host, kernels });
 
-snap_struct!(MemoryFootprint { runtime_bytes, weights_bytes });
+snap_struct!(MemoryFootprint {
+    runtime_bytes,
+    weights_bytes
+});
 
-snap_struct!(ModelProfile { name, stages, memory });
+snap_struct!(ModelProfile {
+    name,
+    stages,
+    memory
+});
 
 #[cfg(test)]
 mod tests {

@@ -160,7 +160,13 @@ impl LatencyHistogram {
 }
 
 snap_struct!(
-    LatencyHistogram { counts, count, sum_us, min, max },
+    LatencyHistogram {
+        counts,
+        count,
+        sum_us,
+        min,
+        max
+    },
     check = |h: &LatencyHistogram| {
         if h.counts.len() != BUCKETS {
             return Err(SnapError::new("histogram bucket count"));

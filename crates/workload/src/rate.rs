@@ -141,17 +141,33 @@ impl RateMeter {
     }
 }
 
-snap_struct!(Run { start_us, gap_us, count });
-
-snap_struct!(RateMeter { runs, total }, check = |m: &RateMeter| {
-    let sum = m.runs.iter().try_fold(0u64, |acc, run| acc.checked_add(run.count));
-    if sum != Some(m.total) {
-        return Err(SnapError::new("rate meter total"));
-    }
-    Ok(())
+snap_struct!(Run {
+    start_us,
+    gap_us,
+    count
 });
 
-snap_struct!(RateEstimator { window, alpha, recent, smoothed, last_update });
+snap_struct!(
+    RateMeter { runs, total },
+    check = |m: &RateMeter| {
+        let sum = m
+            .runs
+            .iter()
+            .try_fold(0u64, |acc, run| acc.checked_add(run.count));
+        if sum != Some(m.total) {
+            return Err(SnapError::new("rate meter total"));
+        }
+        Ok(())
+    }
+);
+
+snap_struct!(RateEstimator {
+    window,
+    alpha,
+    recent,
+    smoothed,
+    last_update
+});
 
 /// Predicts the near-future request rate from recent arrivals — the
 /// gateway-side signal `R_j` the Heuristic Scaling Algorithm consumes.

@@ -77,12 +77,19 @@ impl SloTracker {
     }
 }
 
-snap_struct!(SloTracker { slo, histogram, violations }, check = |t: &SloTracker| {
-    if t.violations > t.histogram.count() {
-        return Err(SnapError::new("slo violations"));
+snap_struct!(
+    SloTracker {
+        slo,
+        histogram,
+        violations
+    },
+    check = |t: &SloTracker| {
+        if t.violations > t.histogram.count() {
+            return Err(SnapError::new("slo violations"));
+        }
+        Ok(())
     }
-    Ok(())
-});
+);
 
 #[cfg(test)]
 mod tests {
