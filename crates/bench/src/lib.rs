@@ -1,4 +1,5 @@
-//! Shared scenario runners for the figure-regeneration benches.
+//! Shared scenario runners for the figure-regeneration benches and the
+//! fleet-scale fixtures of `tests/fleet_scale.rs`.
 //!
 //! Each `benches/figNN_*.rs` harness prints the paper table/series it
 //! regenerates (deterministically) and then lets Criterion time one
@@ -12,11 +13,10 @@ use fastgshare::manager::{SchedPolicy, SharingPolicy};
 use fastgshare::scheduler::Scheduler;
 use fastgshare::platform::{
     FaultPlan, FunctionConfig, OverloadConfig, Platform, PlatformConfig, PlatformError,
-    PlatformReport, Scenario,
+    PlatformReport, Scenario, TieBreak,
 };
 use fastgshare::profiler::{ProfileDb, ProfileKey, ProfileRecord};
 
-pub mod harness;
 pub mod race;
 
 /// Outcome of one saturated sharing run (one function, one node).
@@ -303,31 +303,31 @@ pub fn fleet_rates(funcs: usize) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-/// The fleet platform configuration: one function per node, quota
+/// The steady fleet: one function per node at quota
 /// `(100 % SM, 1.0, 1.0)` so each replica owns its device, 1 s quota
 /// windows and 2 s metric samples (the control-plane touch cadence that
-/// bounds how many events a steady node still schedules), and a
-/// pre-reserved event heap sized to the fleet. Device-level fast-forward
-/// follows `FASTG_FASTFORWARD` (the `PlatformConfig` default), so the
-/// `=0` CI leg really is event-by-event — cluster fast-forward requires
-/// the device layer, so `cluster_ff` only takes effect on top of it.
-pub fn fleet_config(nodes: usize, seed: u64, cluster_ff: bool) -> PlatformConfig {
-    PlatformConfig::default()
-        .nodes(nodes)
-        .policy(SharingPolicy::FaST)
-        .oversubscribe(true)
-        .window(SimTime::from_secs(1))
-        .sample_interval(SimTime::from_secs(2))
-        .event_capacity(nodes * 4)
-        .cluster_fastforward(cluster_ff)
-        .seed(seed)
-}
-
-/// Builds the steady fleet and attaches its constant Zipf loads. Returns
-/// the platform plus the aggregate arrival rate (rps), from which callers
-/// size the duration needed to hit an arrival budget.
+/// bounds how many events a steady node still schedules), a pre-reserved
+/// event heap sized to the fleet, and constant Zipf loads. Device-level
+/// fast-forward is pinned on (cluster fast-forward requires it), as are
+/// the FIFO tie-break and the paper scheduler, so no `FASTG_*` variable
+/// changes the fixture. Returns the platform plus the aggregate arrival
+/// rate (rps), from which callers size the duration needed to hit an
+/// arrival budget.
 pub fn fleet_platform(nodes: usize, seed: u64, cluster_ff: bool) -> (Platform, f64) {
-    let mut p = Platform::new(fleet_config(nodes, seed, cluster_ff));
+    let mut p = Platform::new(
+        PlatformConfig::default()
+            .nodes(nodes)
+            .policy(SharingPolicy::FaST)
+            .oversubscribe(true)
+            .window(SimTime::from_secs(1))
+            .sample_interval(SimTime::from_secs(2))
+            .event_capacity(nodes * 4)
+            .fastforward(true)
+            .cluster_fastforward(cluster_ff)
+            .tiebreak(TieBreak::Fifo)
+            .scheduler(SchedPolicy::Paper)
+            .seed(seed),
+    );
     let mut total_rps = 0.0;
     for (i, (model, rate)) in fleet_rates(nodes).iter().enumerate() {
         let f = p
@@ -352,6 +352,8 @@ pub fn fleet_platform(nodes: usize, seed: u64, cluster_ff: bool) -> (Platform, f
 /// path provably agree — an empty plane is the only feasible host and
 /// both orderings reduce to "lowest empty node id" — so whole-run
 /// canonical reports must match byte for byte across `sched` values.
+/// Fast-forward and the FIFO tie-break are pinned, as in
+/// [`fleet_platform`].
 pub fn parity_fleet(nodes: usize, seed: u64, sched: SchedPolicy) -> Platform {
     let mut p = Platform::new(
         PlatformConfig::default()
@@ -361,6 +363,8 @@ pub fn parity_fleet(nodes: usize, seed: u64, sched: SchedPolicy) -> Platform {
             .window(SimTime::from_secs(1))
             .sample_interval(SimTime::from_secs(2))
             .event_capacity(nodes * 4)
+            .fastforward(true)
+            .tiebreak(TieBreak::Fifo)
             .seed(seed),
     );
     for (i, (model, rate)) in fleet_rates(nodes).iter().enumerate() {
@@ -405,12 +409,8 @@ pub struct ChurnOutcome {
     pub placements: u64,
     /// Releases performed.
     pub releases: u64,
-    /// Demands no node could host.
-    pub rejects: u64,
     /// Bound area across the cluster at storm end.
     pub used_area: u64,
-    /// GPUs hosting at least one pod at storm end.
-    pub gpus_in_use: usize,
     /// Per-node fit probes the selector performed.
     pub probes: u64,
     /// Placements that took the exact maximal-rects fallback.
@@ -437,9 +437,7 @@ pub fn churn_storm(sched: &mut dyn Scheduler, nodes: usize, ops: u64, seed: u64)
     let mut out = ChurnOutcome {
         placements: 0,
         releases: 0,
-        rejects: 0,
         used_area: 0,
-        gpus_in_use: 0,
         probes: 0,
         fallbacks: 0,
     };
@@ -457,51 +455,17 @@ pub fn churn_storm(sched: &mut dyn Scheduler, nodes: usize, ops: u64, seed: u64)
             let spec = churn_spec(next_pod);
             let pod = PodId(next_pod);
             next_pod += 1;
-            match sched.select_node(&spec, &mut |_| true) {
-                Some(node) if sched.bind(node, pod, &spec).is_some() => {
+            if let Some(node) = sched.select_node(&spec, &mut |_| true) {
+                if sched.bind(node, pod, &spec).is_some() {
                     live.push((node, pod));
                     out.placements += 1;
                 }
-                _ => out.rejects += 1,
             }
         }
     }
     out.used_area = sched.total_used_area();
-    out.gpus_in_use = sched.gpus_in_use();
     let stats = sched.stats();
     out.probes = stats.probes;
     out.fallbacks = stats.exact_fallbacks;
     out
-}
-
-/// A fleet [`Scenario`] with the *layered* arrival model — diurnal
-/// breathing on the tail, a flash crowd on the head function and a
-/// regional-failover step on the near-head band (`fastg_workload::fleet`)
-/// — for the multi-core sweep leg, where realism matters more than
-/// coalescing.
-pub fn fleet_sweep_scenario(
-    name: impl Into<String>,
-    nodes: usize,
-    seconds: u64,
-    seed: u64,
-) -> Scenario {
-    let duration = SimTime::from_secs(seconds);
-    // The layered model re-derives each rank's Zipf share internally, so
-    // it takes the fleet-wide aggregate rate; cap the head's share at the
-    // single-replica envelope by keeping the aggregate modest.
-    let total_rps = nodes as f64 * 12.0;
-    let mut s = Scenario::new(name, fleet_config(nodes, seed, true));
-    for (i, (model, _)) in fleet_rates(nodes).iter().enumerate() {
-        s = s
-            .function(
-                FunctionConfig::new(&format!("fleet-{i:04}"), model)
-                    .replicas(1)
-                    .resources(100.0, 1.0, 1.0),
-            )
-            .load(
-                i,
-                fastg_workload::fleet::fleet_function(i, nodes, total_rps, 1.1, duration, seed),
-            );
-    }
-    s.duration(duration)
 }

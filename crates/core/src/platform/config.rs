@@ -89,8 +89,7 @@ pub struct PlatformConfig {
     /// constant-rate function schedules no per-request events at all —
     /// whole request cycles are credited analytically and replayed lazily
     /// at the next control-plane touch. Requires `fastforward`; off by
-    /// default, opt in via `FASTG_CLUSTER_FF=1` (read once, at config
-    /// construction) or [`Self::cluster_fastforward`]. Reports stay
+    /// default, opt in via [`Self::cluster_fastforward`]. Reports stay
     /// byte-identical to the event-by-event run.
     pub cluster_fastforward: bool,
     /// Pre-reserves the event-queue heap for this many events at platform
@@ -145,7 +144,7 @@ impl Default for PlatformConfig {
             retry_budget: None,
             overload: None,
             fastforward: std::env::var("FASTG_FASTFORWARD").map_or(true, |v| v != "0"),
-            cluster_fastforward: std::env::var("FASTG_CLUSTER_FF").is_ok_and(|v| v != "0"),
+            cluster_fastforward: false,
             event_capacity: None,
             tiebreak: std::env::var("FASTG_TIEBREAK")
                 .ok()
@@ -320,9 +319,8 @@ impl PlatformConfig {
         self
     }
 
-    /// Enables or disables cluster-level fast-forward (overrides the
-    /// `FASTG_CLUSTER_FF` environment default). Only effective when
-    /// [`Self::fastforward`] is also on.
+    /// Enables or disables cluster-level fast-forward (off by default).
+    /// Only effective when [`Self::fastforward`] is also on.
     pub fn cluster_fastforward(mut self, on: bool) -> Self {
         self.cluster_fastforward = on;
         self
@@ -334,7 +332,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets the same-instant tie-break policy (overrides the
     /// Selects the placement engine (overrides the `FASTG_SCHED`
     /// environment default).
     pub fn scheduler(mut self, sched: SchedPolicy) -> Self {
@@ -342,6 +339,7 @@ impl PlatformConfig {
         self
     }
 
+    /// Sets the same-instant tie-break policy (overrides the
     /// `FASTG_TIEBREAK` environment default).
     pub fn tiebreak(mut self, tiebreak: TieBreak) -> Self {
         self.tiebreak = tiebreak;

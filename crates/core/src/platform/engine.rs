@@ -3220,7 +3220,9 @@ impl Platform {
             queue.set_classifier(|e: &Event| e.class());
             queue.restore_state(&mut r)?;
             if let Some(cap) = world.cfg.event_capacity {
-                queue.reserve(cap);
+                queue
+                    .try_reserve(cap)
+                    .map_err(|_| SnapError::new("event capacity"))?;
             }
         }
         r.expect_done()?;

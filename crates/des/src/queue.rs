@@ -4,7 +4,7 @@ use crate::sanitizer;
 use crate::snap::{snap_enum, snap_newtype, Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, TryReserveError};
 
 /// How the queue orders entries scheduled for the same instant *within one
 /// semantic class* (see [`EventQueue::set_classifier`]). Cross-class order
@@ -169,6 +169,13 @@ impl<E> EventQueue<E> {
     /// entries.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
+    }
+
+    /// Fallible [`Self::reserve`]: an unrepresentable or unallocatable
+    /// capacity is an error instead of a panic or abort. Restore paths
+    /// use it, since their capacity comes off the wire.
+    pub fn try_reserve(&mut self, additional: usize) -> Result<(), TryReserveError> {
+        self.heap.try_reserve(additional)
     }
 
     /// The heap's current allocated capacity (pending + free slots).

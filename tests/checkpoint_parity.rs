@@ -11,7 +11,8 @@ use fastg_des::SimTime;
 use fastg_workload::ArrivalProcess;
 use fastgshare::manager::{SchedPolicy, SharingPolicy};
 use fastgshare::platform::{
-    FaultKind, FaultPlan, FunctionConfig, Platform, PlatformConfig, Snapshot, TieBreak,
+    run_sweep_stats, run_sweep_unshared, FaultKind, FaultPlan, FunctionConfig, Platform,
+    PlatformConfig, Scenario, Snapshot, TieBreak, TreatmentAction,
 };
 use proptest::prelude::*;
 
@@ -240,6 +241,203 @@ fn snapshot_round_trips_through_raw_bytes() {
     let b = revived.run_for(SimTime::from_secs(3));
     assert_eq!(a.canonical_text(), b.canonical_text());
     assert_eq!(a.digest(), b.digest());
+}
+
+/// A snapshot whose `event_capacity` was corrupted to an unallocatable
+/// size restores as a typed error, not a "capacity overflow" panic.
+#[test]
+fn hostile_event_capacity_is_a_typed_error() {
+    // Distinctive enough that its 8 LE bytes occur once in the payload.
+    const CAP: usize = 0x01_F00D;
+    let p = Platform::new(PlatformConfig::default().event_capacity(CAP));
+    let mut bytes = p.checkpoint().as_bytes().to_vec();
+    let needle = u64::try_from(CAP).unwrap().to_le_bytes();
+    let at: Vec<usize> = (0..=bytes.len() - needle.len())
+        .filter(|&i| bytes[i..i + needle.len()] == needle)
+        .collect();
+    assert_eq!(at.len(), 1, "event_capacity must be located unambiguously");
+    let hostile = u64::try_from(usize::MAX / 2).unwrap().to_le_bytes();
+    bytes[at[0]..at[0] + needle.len()].copy_from_slice(&hostile);
+    let snapshot = Snapshot::from_bytes(bytes).unwrap();
+    let err = Platform::from_snapshot(&snapshot)
+        .err()
+        .expect("hostile capacity must not restore");
+    assert_eq!(err.what, "event capacity");
+}
+
+/// The warmup-heavy headline grid: `cells` scenarios that agree on
+/// everything up to the end of `warmup` and then each reconfigure
+/// function 0 to a different share of the GPU before a short measured
+/// window, shaped like a real profiling sweep.
+fn headline_grid(cells: u64, warmup: SimTime, window: SimTime) -> Vec<Scenario> {
+    (0..cells)
+        .map(|i| {
+            // Spread the treatment over (6.25 %, 12.5 %, …) SM partitions.
+            let sm = 6.25 * (i + 1) as f64;
+            let quota = (0.1 * (i + 1) as f64).min(1.0);
+            Scenario::new(
+                format!("headline/sm{sm}"),
+                PlatformConfig::default().nodes(2).seed(29),
+            )
+            .function(
+                FunctionConfig::new("f0", "resnet50")
+                    .replicas(2)
+                    .resources(50.0, 0.5, 0.5),
+            )
+            .function(
+                FunctionConfig::new("f1", "bert_base")
+                    .replicas(1)
+                    .resources(25.0, 0.25, 0.25),
+            )
+            .load(0, ArrivalProcess::poisson(40.0, 7))
+            .load(1, ArrivalProcess::poisson(15.0, 11))
+            .warmup(warmup)
+            .then(TreatmentAction::Reconfigure {
+                func_index: 0,
+                sm_partition: sm,
+                quota_request: quota,
+                quota_limit: quota,
+            })
+            .duration(window)
+        })
+        .collect()
+}
+
+/// Prefix sharing on the headline grid is digest-exact and simulates at
+/// most a third of the platform-seconds the unshared path does: one
+/// shared warmup plus each cell's window, against every cell replaying
+/// its own warmup.
+#[test]
+fn prefix_sharing_simulates_a_third_of_the_headline_grid() {
+    let (cells, warmup, window) = (6u64, SimTime::from_secs(4), SimTime::from_millis(500));
+    let (shared, stats) = run_sweep_stats(headline_grid(cells, warmup, window), 1).unwrap();
+    let unshared = run_sweep_unshared(headline_grid(cells, warmup, window), 1).unwrap();
+    assert_eq!(
+        stats.prefixes_shared, 1,
+        "the grid must collapse to one prefix"
+    );
+    assert_eq!(u64::try_from(stats.cells_resumed).unwrap(), cells);
+    assert_eq!(shared.len(), unshared.len());
+    for ((n1, r1), (n2, r2)) in shared.iter().zip(&unshared) {
+        assert_eq!(n1, n2);
+        assert_eq!(r1.digest(), r2.digest(), "prefix sharing changed cell {n1}");
+    }
+    let unshared_sim = (warmup + window) * cells;
+    let shared_sim = unshared_sim.saturating_sub(stats.warmup_avoided);
+    assert!(
+        shared_sim * 3 <= unshared_sim,
+        "sharing simulated {shared_sim} of {unshared_sim}"
+    );
+    // A grid whose cells all agree would make the digest bar vacuous.
+    let first = shared[0].1.digest();
+    assert!(
+        shared.iter().any(|(_, r)| r.digest() != first),
+        "the treatment is inert"
+    );
+}
+
+/// The matrix chaos plan: a pod crash and a clock degrade inside the
+/// warmup (so fault effects ride the snapshot) and a recovery inside
+/// the measured window (so a pending fault event must survive restore).
+fn matrix_chaos() -> FaultPlan {
+    FaultPlan::new()
+        .at(SimTime::from_millis(300), FaultKind::PodCrash { func_index: 0 })
+        .at(
+            SimTime::from_millis(600),
+            FaultKind::NodeDegrade {
+                node_index: 1,
+                factor: 1.5,
+            },
+        )
+        .at(
+            SimTime::from_millis(1_200),
+            FaultKind::NodeRecover { node_index: 1 },
+        )
+}
+
+/// One matrix combination: a two-cell shared-prefix grid under the given
+/// chaos / overload / cluster-FF / tie-break knobs.
+fn matrix_grid(chaos: bool, overload: bool, cluster_ff: bool, tiebreak: TieBreak) -> Vec<Scenario> {
+    let mut config = PlatformConfig::default()
+        .nodes(2)
+        .seed(43)
+        .oversubscribe(true)
+        .recovery(true)
+        .overload_control(overload)
+        .fastforward(true)
+        .cluster_fastforward(cluster_ff)
+        .tiebreak(tiebreak);
+    if chaos {
+        config = config.fault_plan(matrix_chaos());
+    }
+    let base = |name: &str| {
+        Scenario::new(name, config.clone())
+            .function(
+                FunctionConfig::new("f0", "resnet50")
+                    .replicas(2)
+                    .resources(50.0, 0.5, 0.5)
+                    .slo_ms(200),
+            )
+            .function(
+                FunctionConfig::new("f1", "rnnt")
+                    .replicas(1)
+                    .resources(25.0, 0.25, 0.25),
+            )
+            .load(0, ArrivalProcess::poisson(60.0, 5))
+            .load(1, ArrivalProcess::poisson(10.0, 9))
+            .warmup(SimTime::from_millis(800))
+            .duration(SimTime::from_millis(700))
+    };
+    vec![
+        base("cell/reconfigure").then(TreatmentAction::Reconfigure {
+            func_index: 0,
+            sm_partition: 25.0,
+            quota_request: 0.25,
+            quota_limit: 0.5,
+        }),
+        base("cell/kill").then(TreatmentAction::KillPods {
+            func_index: 0,
+            count: 1,
+        }),
+    ]
+}
+
+/// The resume-parity matrix: every {clean, chaos} × {overload on, off} ×
+/// {cluster fast-forward on, off} × tie-break combination (32 in all)
+/// resumes both cells from the shared snapshot and matches the unshared
+/// replay byte for byte.
+#[test]
+fn resume_parity_matrix_shared_equals_unshared() {
+    for chaos in [false, true] {
+        for overload in [false, true] {
+            for cluster_ff in [false, true] {
+                for tb in TIEBREAKS {
+                    let combo =
+                        format!("chaos={chaos} overload={overload} cluster_ff={cluster_ff} {tb:?}");
+                    let (shared, stats) =
+                        run_sweep_stats(matrix_grid(chaos, overload, cluster_ff, tb), 1).unwrap();
+                    let unshared =
+                        run_sweep_unshared(matrix_grid(chaos, overload, cluster_ff, tb), 1)
+                            .unwrap();
+                    assert_eq!(stats.cells_resumed, 2, "sharing never engaged: {combo}");
+                    assert_eq!(shared.len(), unshared.len());
+                    for ((n1, r1), (n2, r2)) in shared.iter().zip(&unshared) {
+                        assert_eq!(n1, n2);
+                        assert_eq!(
+                            r1.canonical_text(),
+                            r2.canonical_text(),
+                            "resume parity broke on {n1}: {combo}"
+                        );
+                    }
+                    assert_ne!(
+                        shared[0].1.digest(),
+                        shared[1].1.digest(),
+                        "the treatments are inert: {combo}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// A random fleet grid for checkpoint parity: node count, load, seed and
