@@ -231,15 +231,57 @@ fn overload_scenarios() -> Vec<Scenario> {
     out
 }
 
+/// flash_sweep's per-GPU shape: one V100 packed with eight FaST pods at
+/// 24–26 % SM over the four profiled models. The registered caps overflow
+/// the device but the token holders' caps fit, so device fast-forward
+/// coalesces bursts beside other pods' per-kernel work and token grants.
+pub fn packed_scenario(seed: u64) -> Scenario {
+    let mut sc = Scenario::new(
+        format!("packed-seed{seed}"),
+        PlatformConfig::default()
+            .nodes(1)
+            .policy(SharingPolicy::FaST)
+            .oversubscribe(true)
+            .seed(seed),
+    );
+    for (i, (model, sm, rate)) in [
+        ("resnet50", 24.0, 30.0),
+        ("bert_base", 25.0, 20.0),
+        ("rnnt", 26.0, 4.0),
+        ("gnmt", 24.0, 4.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        sc = sc
+            .function(
+                FunctionConfig::new(&format!("packed-{i}"), model)
+                    .replicas(2)
+                    .resources(sm, 0.4, 0.8),
+            )
+            .load(
+                i,
+                ArrivalProcess::poisson(
+                    rate,
+                    seed.wrapping_mul(31)
+                        .wrapping_add(u64::try_from(i).unwrap_or_default()),
+                ),
+            );
+    }
+    sc.duration(SimTime::from_secs(3))
+}
+
 /// Every scenario the detector perturbs: the determinism fingerprint
 /// workloads, the chaos/FF-parity runs, the seeded sweep grid, the
-/// overload matrix and the cluster fast-forward fleet matrix.
+/// overload matrix, the cluster fast-forward fleet matrix and the packed
+/// shared GPU.
 pub fn race_matrix() -> Vec<Scenario> {
     let mut all = policy_scenarios();
     all.extend(chaos_scenarios());
     all.extend(sweep_scenarios());
     all.extend(overload_scenarios());
     all.extend(fleet_scenarios());
+    all.push(packed_scenario(1));
     all
 }
 

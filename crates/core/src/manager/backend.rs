@@ -708,7 +708,17 @@ impl FastBackend {
 
     /// Number of pods currently holding a lease.
     pub fn holders(&self) -> usize {
-        self.pods.values().filter(|e| e.lease.is_some()).count()
+        self.lease_holders().count()
+    }
+
+    /// The pods currently holding a lease, in ascending `PodId` order: the
+    /// only pods allowed to launch kernels without a new grant. A held
+    /// lease may already have expired; it still counts until released.
+    pub fn lease_holders(&self) -> impl Iterator<Item = PodId> + '_ {
+        self.pods
+            .iter()
+            .filter(|(_, e)| e.lease.is_some())
+            .map(|(id, _)| id)
     }
 
     /// Number of pods waiting in the ready queue.

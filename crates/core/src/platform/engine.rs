@@ -243,6 +243,23 @@ struct PodRt {
     zombie: Option<usize>,
 }
 
+/// Which of a node's MPS clients may start kernels without a new grant,
+/// the permission set of the device's fast-forward regime check: under
+/// token policies only the backend's lease holders, otherwise every
+/// registered client.
+fn launch_permit<'a>(
+    policy: SharingPolicy,
+    backend: Option<&'a FastBackend>,
+    pods: &'a IdArena<PodId, PodRt>,
+) -> impl Fn(ClientId) -> bool + 'a {
+    move |client| match backend {
+        Some(b) if policy.uses_tokens() => b
+            .lease_holders()
+            .any(|pod| pods.get(pod).is_some_and(|rt| rt.client == client)),
+        _ => true,
+    }
+}
+
 /// The [`World`] implementation composing cluster, GPUs, manager,
 /// scheduler, model sharing and workloads.
 pub struct Engine {
@@ -512,14 +529,16 @@ impl Engine {
         // The new client's SM cap may push the node out of the capped
         // regime; fast-forwarded schedules are only exact inside it, so
         // any in-flight macro-event on this node must be invalidated
-        // before the pod can contend.
+        // before the pod can contend. (Under token policies the new pod
+        // holds no lease yet, so its cap does not count until a grant.)
+        let may_launch = launch_permit(self.cfg.policy, self.backends.get(node), &self.pods);
         let regime_ok = self
             .cluster
             .node(node)
-            .map(|n| n.gpu.ff_regime_ok())
+            .map(|n| n.gpu.ff_regime_ok(may_launch))
             .unwrap_or(true);
         if !regime_ok {
-            self.ff_break_node(now, node, queue);
+            self.ff_break_node(now, node, false, queue);
         }
 
         // Model sharing: attach the weights through the store library.
@@ -683,7 +702,7 @@ impl Engine {
             }
         }
         for node in touched {
-            self.ff_break_node(now, node, queue);
+            self.ff_break_node(now, node, false, queue);
         }
         for pod in running {
             let node = self.pods[pod].node;
@@ -736,7 +755,7 @@ impl Engine {
         // per-kernel state before the corpse is inspected: the
         // materialized mid-flight kernel (and the requeued remainder)
         // drain as the zombie, and `outstanding` is reconciled first.
-        self.ff_break_pod(now, pod, queue);
+        self.ff_break_pod(now, pod, false, queue);
         self.gateway.deregister_pod(func, pod);
         // The cluster must stop counting the pod as Running right away —
         // otherwise reconciliation would refuse to create replacements
@@ -945,7 +964,7 @@ impl Engine {
                 let node = ids[node_index % ids.len()];
                 // A clock change redraws every future kernel duration;
                 // analytic schedules on the node are no longer exact.
-                self.ff_break_node(now, node, queue);
+                self.ff_break_node(now, node, false, queue);
                 let _ = self.cluster.degrade_node(node, factor);
             }
             FaultKind::NodeRecover { node_index } => {
@@ -954,7 +973,7 @@ impl Engine {
                     return;
                 }
                 let node = ids[node_index % ids.len()];
-                self.ff_break_node(now, node, queue);
+                self.ff_break_node(now, node, false, queue);
                 let _ = self.cluster.recover_node(node);
             }
         }
@@ -1312,7 +1331,8 @@ impl Engine {
                 work_per_block: k.work_per_block,
                 tag: pod.0,
             });
-            if let Some(end) = gpu.fast_forward_burst(now, client, descs) {
+            let may_launch = launch_permit(self.cfg.policy, self.backends.get(node), &self.pods);
+            if let Some(end) = gpu.fast_forward_burst(now, client, descs, may_launch) {
                 let token = queue.schedule_cancellable(end, Event::BurstFastForward(node, pod));
                 if let Some(active) = self.pods.get_mut(pod).and_then(|rt| rt.active.as_mut()) {
                     active.ff = Some(token);
@@ -1476,7 +1496,17 @@ impl Engine {
     /// Invalidates a pod's fast-forwarded burst (if any): cancels its
     /// macro-event, has the device reconstruct exact per-kernel state, and
     /// resumes normal stepping from the materialized mid-flight kernel.
-    fn ff_break_pod(&mut self, now: SimTime, pod: PodId, queue: &mut EventQueue<Event>) {
+    /// `inclusive` also lands kernel boundaries at exactly `now` (a break
+    /// from the end-of-instant dispatch pass, which runs after every
+    /// same-instant finish); otherwise they stay pending, as for a
+    /// contention change that orders ahead of same-instant work.
+    fn ff_break_pod(
+        &mut self,
+        now: SimTime,
+        pod: PodId,
+        inclusive: bool,
+        queue: &mut EventQueue<Event>,
+    ) {
         let Some(rt) = self.pods.get_mut(pod) else {
             return;
         };
@@ -1494,7 +1524,12 @@ impl Engine {
             debug_assert!(false, "node exists");
             return;
         };
-        let Some(brk) = node_rt.gpu.ff_break(now, client) else {
+        let brk = if inclusive {
+            node_rt.gpu.ff_break_inclusive(now, client)
+        } else {
+            node_rt.gpu.ff_break(now, client)
+        };
+        let Some(brk) = brk else {
             debug_assert!(false, "live token implies a timeline");
             return;
         };
@@ -1511,14 +1546,22 @@ impl Engine {
     }
 
     /// Invalidates every fast-forwarded burst on a node; called before any
-    /// contention change (new client, repartition, clock change).
+    /// contention change (new client, repartition, clock change, token
+    /// grants that leave the capped regime). `inclusive` as for
+    /// [`Self::ff_break_pod`].
     ///
     /// Walks the node's own pods in ascending `PodId` order; a pod holding
     /// a macro token is never a zombie, so the cluster's list covers them.
-    fn ff_break_node(&mut self, now: SimTime, node: NodeId, queue: &mut EventQueue<Event>) {
+    fn ff_break_node(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        inclusive: bool,
+        queue: &mut EventQueue<Event>,
+    ) {
         let mut i = 0;
         while let Some(&pod) = self.cluster.pods_on(node).get(i) {
-            self.ff_break_pod(now, pod, queue);
+            self.ff_break_pod(now, pod, inclusive, queue);
             i += 1;
         }
     }
@@ -2051,6 +2094,24 @@ impl Engine {
             Some(b) => b.dispatch_pass(now),
             None => Vec::new(),
         };
+        // Under deferred dispatch this pass is the only way the set of
+        // clients that may launch grows. Live timelines assumed the old
+        // set; if the new holders' caps overflow the device (adapter
+        // shares round below SM caps, `sm_global_limit > 100`, or a
+        // reconfigure under a held lease), every timeline on the node
+        // falls back to stepping before the grantees launch. Same-instant
+        // finishes were all delivered ahead of this pass, so the break
+        // lands them too.
+        if !grants.is_empty() {
+            let may_launch = launch_permit(self.cfg.policy, self.backends.get(node), &self.pods);
+            let regime_lost = self
+                .cluster
+                .node(node)
+                .is_ok_and(|n| n.gpu.has_ff() && !n.gpu.ff_regime_ok(may_launch));
+            if regime_lost {
+                self.ff_break_node(now, node, true, queue);
+            }
+        }
         self.process_grants(now, &grants, queue);
     }
 

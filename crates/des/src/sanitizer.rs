@@ -17,9 +17,13 @@
 //! * `cancel-token-generation` — a [`crate::CancelToken`] always names a
 //!   live entry from its own queue's sequence space,
 //! * `ff-sync-order` — lazy fast-forward boundary replay lands strictly
-//!   before the synchronizing instant (inclusive only at report flush),
+//!   before the synchronizing instant (inclusive only at report flush
+//!   and at a break from the end-of-instant dispatch pass),
 //! * `sm-conservation` — per-kernel SM grants stay within client caps and
 //!   the device-wide SM budget,
+//! * `ff-uncontended` — while a fast-forward timeline is live, every
+//!   kernel start gets its full `min(cap, blocks)` grant and no client
+//!   waits for SMs,
 //! * `overload-conservation` — every admitted request is accounted for
 //!   exactly once in the report identity
 //!   `arrivals == completed + rejected + shed + dropped + queued + in-flight`,

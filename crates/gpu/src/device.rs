@@ -417,6 +417,9 @@ impl GpuDevice {
             }
             stream.waiting = true;
             self.wait_queue.push_back(client);
+            if sanitizer::active() {
+                self.sanitize_uncontended("launch");
+            }
         }
         Ok(None)
     }
@@ -497,6 +500,7 @@ impl GpuDevice {
         }
         if sanitizer::active() {
             self.sanitize_sm_conservation("on_kernel_finish");
+            self.sanitize_uncontended("on_kernel_finish");
         }
         Ok(done)
     }
@@ -523,6 +527,19 @@ impl GpuDevice {
                     format!(
                         "grant chain broken for {client:?}: granted {granted} <= cap {cap} <= device {}",
                         self.spec.sm_count
+                    )
+                },
+            );
+            // A live timeline was computed assuming every start gets its
+            // full grant; a short grant here means its schedule is wrong.
+            sanitizer::check(
+                self.ff.is_empty() || granted == cap.min(desc.blocks.max(1)),
+                "ff-uncontended",
+                || {
+                    format!(
+                        "{client:?} granted {granted} of min(cap {cap}, blocks {}) beside {} ff timelines",
+                        desc.blocks,
+                        self.ff.len()
                     )
                 },
             );
@@ -564,29 +581,57 @@ impl GpuDevice {
 
     // ----- analytic fast-forward --------------------------------------
     //
-    // When a burst runs in the *capped regime* — the sum of every client's
-    // SM cap fits in the device, nobody is waiting for SMs, and no
-    // resident grant exceeds its owner's cap — each kernel start is
-    // guaranteed its full `min(cap, blocks)` grant no matter what other
-    // clients do, so a client's whole burst schedule can be computed up
-    // front with wave arithmetic. The device then holds the schedule as a
-    // timeline and applies its per-kernel metric/SM-pool boundary events
-    // lazily (in global time order, via `ff_sync`) so that utilization,
-    // occupancy, per-client busy time and completion counters stay
-    // byte-identical to per-kernel stepping.
+    // When a burst runs in the *capped regime* — the SM caps of every
+    // client that can hold SMs during the burst fit in the device, nobody
+    // is waiting for SMs, and no resident grant exceeds its owner's cap —
+    // each kernel start is guaranteed its full `min(cap, blocks)` grant no
+    // matter what other clients do, so a client's whole burst schedule can
+    // be computed up front with wave arithmetic. The device then holds the
+    // schedule as a timeline and applies its per-kernel metric/SM-pool
+    // boundary events lazily (in global time order, via `ff_sync`) so that
+    // utilization, occupancy, per-client busy time and completion counters
+    // stay byte-identical to per-kernel stepping.
+    //
+    // The clients that can hold SMs are those with work on the device
+    // (resident, queued, waiting or fast-forwarded — a crashed pod's
+    // draining kernels included) plus those the caller permits to launch
+    // (`may_launch`): every registered client under spatial-only sharing,
+    // only the token holders under temporal sharing. The caller must keep
+    // the permitted set from growing out of the regime while timelines are
+    // live (break them first).
 
-    /// Whether the device is in the capped regime (see module comment):
-    /// the precondition under which fast-forwarded schedules are exact.
-    pub fn ff_regime_ok(&self) -> bool {
+    /// Whether the device is in the capped regime (see above): the
+    /// precondition under which fast-forwarded schedules are exact.
+    /// `may_launch` names the clients allowed to start new work; clients
+    /// with work already on the device always count.
+    pub fn ff_regime_ok(&self, may_launch: impl Fn(ClientId) -> bool) -> bool {
         if !self.wait_queue.is_empty() {
             return false;
         }
-        if self.mps.total_sm_cap() > u64::from(self.spec.sm_count) {
+        let grants_capped = self
+            .running
+            .iter()
+            .all(|(_, r)| self.mps.sm_cap(r.client).is_ok_and(|cap| r.granted <= cap));
+        if !grants_capped {
             return false;
         }
-        self.running
-            .iter()
-            .all(|(_, r)| self.mps.sm_cap(r.client).is_ok_and(|cap| r.granted <= cap))
+        let sm_count = u64::from(self.spec.sm_count);
+        // Static shortcut: every registered partition fits.
+        if self.mps.total_sm_cap() <= sm_count {
+            return true;
+        }
+        let mut caps = 0u64;
+        for (client, s) in &self.streams {
+            let busy =
+                s.running.is_some() || !s.queued.is_empty() || s.waiting || self.ff_active(*client);
+            if busy || may_launch(*client) {
+                caps += u64::from(self.mps.sm_cap(*client).unwrap_or(self.spec.sm_count));
+                if caps > sm_count {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Whether `client` has an active fast-forward timeline.
@@ -606,11 +651,13 @@ impl GpuDevice {
     /// caller can schedule a single macro-event for it. Returns `None`
     /// (leaving the device untouched) when the burst is not provably
     /// uncontended: the caller must fall back to per-kernel launches.
+    /// `may_launch` is the [`Self::ff_regime_ok`] permission set.
     pub fn fast_forward_burst<I>(
         &mut self,
         now: SimTime,
         client: ClientId,
         descs: I,
+        may_launch: impl Fn(ClientId) -> bool,
     ) -> Option<SimTime>
     where
         I: IntoIterator<Item = KernelDesc>,
@@ -622,7 +669,7 @@ impl GpuDevice {
             .iter()
             .find(|(id, _)| *id == client)
             .is_some_and(|(_, s)| s.running.is_none() && s.queued.is_empty() && !s.waiting);
-        if !idle || self.ff_active(client) || !self.ff_regime_ok() {
+        if !idle || self.ff_active(client) || !self.ff_regime_ok(may_launch) {
             return None;
         }
         let cap = self.mps.sm_cap(client).ok()?;
@@ -779,6 +826,23 @@ impl GpuDevice {
         );
     }
 
+    /// Shadow-check (`FASTG_SANITIZE=1`): while any timeline is live, no
+    /// client waits for SMs — the capped regime its schedule assumes.
+    fn sanitize_uncontended(&self, site: &'static str) {
+        sanitizer::check(
+            self.ff.is_empty() || self.wait_queue.is_empty(),
+            "ff-uncontended",
+            || {
+                format!(
+                    "{site}: {} clients wait for SMs beside {} ff timelines ({} SMs free)",
+                    self.wait_queue.len(),
+                    self.ff.len(),
+                    self.free_sms
+                )
+            },
+        );
+    }
+
     /// Flushes the batched completion counters of every live timeline, so
     /// any external metrics read after a sync sees exactly what per-kernel
     /// stepping would have recorded.
@@ -877,15 +941,27 @@ impl GpuDevice {
     /// remainder is requeued into the client's stream for normal stepping
     /// under whatever contention change triggered the break.
     pub fn ff_break(&mut self, now: SimTime, client: ClientId) -> Option<FfBreak> {
-        self.ff_sync(now);
+        self.ff_break_to(now, client, false)
+    }
+
+    /// Like [`Self::ff_break`] but inclusive of boundaries at exactly
+    /// `now`: a break at the end-of-instant dispatch pass, where
+    /// per-kernel stepping would already have delivered every
+    /// same-instant finish event.
+    pub fn ff_break_inclusive(&mut self, now: SimTime, client: ClientId) -> Option<FfBreak> {
+        self.ff_break_to(now, client, true)
+    }
+
+    fn ff_break_to(&mut self, now: SimTime, client: ClientId, inclusive: bool) -> Option<FfBreak> {
+        self.ff_sync_to(now, inclusive);
         let i = self.ff.iter().position(|t| t.client == client)?;
         let mut tl = self.ff.swap_remove(i);
         debug_assert_eq!(tl.tallied, tl.completed, "sync flushes tallies");
         let k = tl.resident;
         if sanitizer::active() {
-            // Strict-< sync left the mid-flight kernel resident: it must
-            // span the break instant, or the reconstruction re-runs (or
-            // drops) GPU time.
+            // The sync left the mid-flight kernel resident: it must span
+            // the break instant, or the reconstruction re-runs (or drops)
+            // GPU time.
             sanitizer::check(k.start <= now && k.finish >= now, "ff-sync-order", || {
                 format!(
                     "materialized kernel [{:?}, {:?}] does not span break at {now:?}",
@@ -1269,7 +1345,7 @@ mod tests {
         let mut ffwd = v100();
         let cf = ffwd.register_client(12.0).unwrap();
         let end_ff = ffwd
-            .fast_forward_burst(SimTime::ZERO, cf, descs.iter().copied())
+            .fast_forward_burst(SimTime::ZERO, cf, descs.iter().copied(), |_| true)
             .expect("idle capped-regime burst coalesces");
         assert_eq!(end_ff, end_stepped);
         let done = ffwd.ff_complete(end_ff, cf).unwrap();
@@ -1294,8 +1370,8 @@ mod tests {
         let b = gpu.register_client(50.0).unwrap(); // 40 SMs
         let ba = [kernel(20, 100), kernel(20, 100)];
         let bb = [kernel(40, 70), kernel(40, 70), kernel(40, 70)];
-        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba.iter().copied()).unwrap();
-        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb.iter().copied()).unwrap();
+        let end_a = gpu.fast_forward_burst(SimTime::ZERO, a, ba.iter().copied(), |_| true).unwrap();
+        let end_b = gpu.fast_forward_burst(SimTime::ZERO, b, bb.iter().copied(), |_| true).unwrap();
         assert_eq!(end_a, SimTime::from_micros(200));
         assert_eq!(end_b, SimTime::from_micros(210));
         gpu.ff_complete(end_a, a).unwrap();
@@ -1312,13 +1388,105 @@ mod tests {
         let a = gpu.register_client(100.0).unwrap();
         let b = gpu.register_client(100.0).unwrap(); // 200 % total: contended
         assert!(gpu
-            .fast_forward_burst(SimTime::ZERO, a, [kernel(1, 1)].iter().copied())
+            .fast_forward_burst(SimTime::ZERO, a, [kernel(1, 1)].iter().copied(), |_| true)
             .is_none());
         gpu.unregister_client(b).unwrap();
         // Alone at 100 % the regime holds again.
         assert!(gpu
-            .fast_forward_burst(SimTime::ZERO, a, [kernel(1, 1)].iter().copied())
+            .fast_forward_burst(SimTime::ZERO, a, [kernel(1, 1)].iter().copied(), |_| true)
             .is_some());
+    }
+
+    #[test]
+    fn lone_active_client_on_over_registered_device_coalesces() {
+        let mut gpu = v100();
+        let a = gpu.register_client(50.0).unwrap(); // 40 SMs
+        let _idle = gpu.register_client(100.0).unwrap(); // 120 SMs of caps
+        assert!(!gpu.ff_regime_ok(|_| true), "every registered cap counts");
+        let end = gpu
+            .fast_forward_burst(SimTime::ZERO, a, [kernel(40, 10); 3].iter().copied(), |c| c == a)
+            .expect("only the launching client may hold SMs");
+        gpu.ff_complete(end, a).unwrap();
+        assert_eq!(gpu.metrics().total_kernels(), 3);
+    }
+
+    #[test]
+    fn refused_when_active_plus_permitted_caps_overflow() {
+        let mut gpu = v100();
+        let a = gpu.register_client(50.0).unwrap(); // 40 SMs
+        let b = gpu.register_client(75.0).unwrap(); // 60 SMs
+        let burst = [kernel(40, 10)];
+        // b is idle but may launch: 40 + 60 > 80.
+        assert!(gpu
+            .fast_forward_burst(SimTime::ZERO, a, burst.iter().copied(), |_| true)
+            .is_none());
+        // b has a kernel resident and no permission: it still holds SMs.
+        let sb = gpu.launch(SimTime::ZERO, b, kernel(60, 10)).unwrap().unwrap();
+        assert!(gpu
+            .fast_forward_burst(SimTime::ZERO, a, burst.iter().copied(), |c| c == a)
+            .is_none());
+        gpu.on_kernel_finish(sb.finish_at, sb.kernel).unwrap();
+        assert!(gpu
+            .fast_forward_burst(sb.finish_at, a, burst.iter().copied(), |c| c == a)
+            .is_some());
+    }
+
+    #[test]
+    fn refused_when_a_client_waits_for_sms() {
+        let mut gpu = v100();
+        let a = gpu.register_client(100.0).unwrap();
+        let b = gpu.register_client(12.0).unwrap();
+        let c = gpu.register_client(12.0).unwrap();
+        gpu.launch(SimTime::ZERO, a, kernel(80, 10)).unwrap().unwrap();
+        assert!(gpu.launch(SimTime::ZERO, b, kernel(10, 10)).unwrap().is_none());
+        assert!(!gpu.ff_regime_ok(|x| x == c));
+        assert!(gpu
+            .fast_forward_burst(SimTime::ZERO, c, [kernel(10, 10)].iter().copied(), |x| x == c)
+            .is_none());
+    }
+
+    #[test]
+    fn draining_stream_counts_toward_the_caps() {
+        // A crashed pod's client: no permission to launch, but its queued
+        // kernels still start and take SMs until the stream drains.
+        let mut gpu = v100();
+        let zombie = gpu.register_client(75.0).unwrap(); // 60 SMs
+        let a = gpu.register_client(50.0).unwrap(); // 40 SMs
+        let first = gpu.launch(SimTime::ZERO, zombie, kernel(60, 10)).unwrap().unwrap();
+        assert!(gpu.launch(SimTime::ZERO, zombie, kernel(60, 10)).unwrap().is_none());
+        let burst = [kernel(40, 10)];
+        assert!(gpu
+            .fast_forward_burst(SimTime::ZERO, a, burst.iter().copied(), |c| c == a)
+            .is_none());
+        let (_, next) = gpu.on_kernel_finish(first.finish_at, first.kernel).unwrap();
+        assert!(gpu
+            .fast_forward_burst(first.finish_at, a, burst.iter().copied(), |c| c == a)
+            .is_none());
+        gpu.on_kernel_finish(next[0].finish_at, next[0].kernel).unwrap();
+        assert!(gpu
+            .fast_forward_burst(next[0].finish_at, a, burst.iter().copied(), |c| c == a)
+            .is_some());
+    }
+
+    #[test]
+    fn inclusive_break_lands_same_instant_boundaries() {
+        let descs = [kernel(10, 100); 3];
+        let mut strict = v100();
+        let c = strict.register_client(12.0).unwrap();
+        strict.fast_forward_burst(SimTime::ZERO, c, descs.iter().copied(), |_| true).unwrap();
+        let mut incl = v100();
+        let ci = incl.register_client(12.0).unwrap();
+        incl.fast_forward_burst(SimTime::ZERO, ci, descs.iter().copied(), |_| true).unwrap();
+        // At t = 100 the first kernel's finish is due. A strict break
+        // leaves it resident; an inclusive one lands it and materializes
+        // the second kernel.
+        let at = SimTime::from_micros(100);
+        let s = strict.ff_break(at, c).unwrap();
+        assert_eq!((s.completed, s.resumed.started), (0, SimTime::ZERO));
+        let i = incl.ff_break_inclusive(at, ci).unwrap();
+        assert_eq!((i.completed, i.resumed.started), (1, at));
+        assert_eq!(i.resumed.finish_at, SimTime::from_micros(200));
+        assert_eq!(incl.metrics().total_kernels(), 1);
     }
 
     #[test]
@@ -1326,7 +1494,7 @@ mod tests {
         let descs = [kernel(10, 100), kernel(10, 100), kernel(10, 100)];
         let mut gpu = v100();
         let c = gpu.register_client(12.0).unwrap(); // 10 SMs, 1 wave each
-        let end = gpu.fast_forward_burst(SimTime::ZERO, c, descs.iter().copied()).unwrap();
+        let end = gpu.fast_forward_burst(SimTime::ZERO, c, descs.iter().copied(), |_| true).unwrap();
         assert_eq!(end, SimTime::from_micros(300));
 
         // Break mid-flight of kernel #2 (t = 150): kernel #1's boundary is
@@ -1359,7 +1527,7 @@ mod tests {
     fn hard_reset_aborts_ff_timeline() {
         let mut gpu = v100();
         let c = gpu.register_client(50.0).unwrap();
-        gpu.fast_forward_burst(SimTime::ZERO, c, [kernel(40, 1000); 2].iter().copied())
+        gpu.fast_forward_burst(SimTime::ZERO, c, [kernel(40, 1000); 2].iter().copied(), |_| true)
             .unwrap();
         gpu.hard_reset(SimTime::from_micros(500));
         assert!(!gpu.has_ff());
@@ -1382,7 +1550,7 @@ mod tests {
         assert!(gpu.launch(SimTime::ZERO, a, kernel(20, 50)).unwrap().is_none());
         let _sb = gpu.launch(SimTime::ZERO, b, kernel(40, 70)).unwrap().unwrap();
         let end_c = gpu
-            .fast_forward_burst(SimTime::ZERO, c, [kernel(10, 30), kernel(10, 30)].iter().copied())
+            .fast_forward_burst(SimTime::ZERO, c, [kernel(10, 30), kernel(10, 30)].iter().copied(), |_| true)
             .unwrap();
 
         let mut w = SnapWriter::new();
@@ -1432,7 +1600,7 @@ mod tests {
         let mut gpu = v100();
         let c = gpu.register_client(50.0).unwrap();
         let end = gpu
-            .fast_forward_burst(SimTime::ZERO, c, [kernel(1, 10)].iter().copied())
+            .fast_forward_burst(SimTime::ZERO, c, [kernel(1, 10)].iter().copied(), |_| true)
             .unwrap();
         assert_eq!(gpu.unregister_client(c).unwrap_err(), GpuError::WorkInFlight(c));
         gpu.ff_complete(end, c).unwrap();

@@ -192,7 +192,9 @@ impl MpsServer {
     /// Sum of every client's SM cap, in SMs. When this is at most the
     /// device's SM count, the partitions cannot contend: every kernel start
     /// is guaranteed its full `min(cap, blocks)` grant regardless of what
-    /// other clients are running (the fast-forward eligibility condition).
+    /// other clients are running. Fast-forward uses it as a static
+    /// shortcut; when it fails, `GpuDevice::ff_regime_ok` sums only the
+    /// caps of the clients that can hold SMs.
     pub fn total_sm_cap(&self) -> u64 {
         self.clients.values().map(|e| u64::from(e.sm_cap)).sum()
     }

@@ -125,11 +125,33 @@ fn fleet_membership_pins() {
     // Snapshot re-pinned (was 0xa376_2260_20a6_47d8) when steady nodes
     // stopped scheduling no-op dispatch passes and metric-sample replays:
     // the delivered-event counter, queue sequence numbers and per-node
-    // event tallies it encodes changed on purpose. The digest is unmoved.
+    // event tallies it encodes changed on purpose. Re-pinned again (was
+    // 0x2a8d_798c_9384_fd05) when device fast-forward started counting
+    // only token holders' caps: the nodes with two 100 % pods, one lease
+    // at a time, now coalesce their bursts, which changes the delivered
+    // event counter, the queue sequence numbers and the live timelines.
+    // The digest is unmoved, and `fleet_snapshot_resumes_to_straight_run`
+    // shows the new snapshot resumes to the old straight-run digest.
     assert_eq!(
         (digest, snap),
-        (0x435f_34c0_dbfc_395c, 0x2a8d_798c_9384_fd05),
+        (0x435f_34c0_dbfc_395c, 0x8cc9_a648_fd77_0aaa),
         "fleet pins moved: report {digest:#018x}, snapshot {snap:#018x}"
+    );
+}
+
+/// The pinned fleet snapshot is a faithful checkpoint: restored and run
+/// five more seconds, it reaches the digest of one straight 25 s run,
+/// pinned from the implementation that coalesced none of the two-pod
+/// nodes' bursts.
+#[test]
+fn fleet_snapshot_resumes_to_straight_run() {
+    let mut p = fleet();
+    p.run_for(SimTime::from_secs(20));
+    let mut resumed = Platform::from_snapshot(&p.checkpoint()).unwrap();
+    let digest = resumed.run_for(SimTime::from_secs(5)).digest();
+    assert_eq!(
+        digest, 0x3e2f_04ec_0c07_2f97,
+        "resumed fleet digest moved: {digest:#018x}"
     );
 }
 
